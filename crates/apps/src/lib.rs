@@ -1,14 +1,18 @@
 //! # bastion-apps
 //!
 //! The three system-call-intensive workload applications of the paper's
-//! evaluation (§9), rebuilt in MiniC, plus the load generators that drive
-//! them:
+//! evaluation (§9), rebuilt in MiniC, plus the clients that drive them:
 //!
-//! | Paper | Here | Workload |
-//! |---|---|---|
-//! | NGINX web server | [`webserve`] | [`loadgen::http_load`] (wrk) |
-//! | SQLite + DBT2 | [`dbkv`] | [`loadgen::tpcc_load`] (DBT2) |
-//! | vsftpd | [`ftpd`] | [`loadgen::ftp_load`] (dkftpbench) |
+//! | Paper | Here | Client ([`traffic`]) | Blocking driver ([`loadgen`]) |
+//! |---|---|---|---|
+//! | NGINX + wrk | [`webserve`] | [`traffic::HttpTraffic`] | [`loadgen::http_load`] |
+//! | SQLite + DBT2 | [`dbkv`] | [`traffic::TpccTraffic`] | [`loadgen::tpcc_load`] |
+//! | vsftpd + dkftpbench | [`ftpd`] | [`traffic::FtpTraffic`] | [`loadgen::ftp_load`] |
+//!
+//! Each protocol client is written once, as a stepped driver in
+//! [`traffic`]: the `bastion serve` supervisor pumps it between scheduler
+//! quanta of many tenant worlds, and [`loadgen`] runs it to completion on
+//! one world for the Figure 3 / Table 3 measurements.
 //!
 //! [`App`] bundles each program with its VFS fixtures and ports so
 //! harnesses (benchmarks, attack scenarios, examples) can launch any of
@@ -104,15 +108,6 @@ impl App {
                     .collect();
                 world.kernel.vfs.put_file(ftpd::FILE_PATH, payload, 0o644);
             }
-        }
-    }
-
-    /// How the paper measures this application (Table 3 caption).
-    pub fn metric_label(self) -> &'static str {
-        match self {
-            App::Webserve => "MB/sec",
-            App::Dbkv => "NOTPM",
-            App::Ftpd => "sec (100 MB)",
         }
     }
 }

@@ -1,23 +1,33 @@
-//! Stepped (non-blocking) traffic drivers for the `bastion serve`
-//! supervisor.
+//! Stepped (non-blocking) client drivers for the three workloads — the
+//! one implementation of the `wrk`, `DBT2` and `dkftpbench` client
+//! protocols.
 //!
-//! The [`loadgen`](crate::loadgen) generators own the scheduler: they call
-//! `world.run` in a loop until the workload completes, which is right for
-//! one world run to completion but wrong for a supervisor multiplexing
-//! hundreds of tenant worlds under a round-robin quantum. These drivers
-//! invert control: [`Traffic::pump`] plays one slice of the client side —
-//! open connections, send what can be sent, consume what arrived — and
-//! returns, leaving every `world.run` call to the supervisor's scheduler.
+//! [`Traffic::pump`] plays one slice of the client side — receive what
+//! arrived, close finished connections, open new ones, send what can be
+//! sent — and returns without running the scheduler. The `bastion serve`
+//! supervisor interleaves pumps with `world.run(quantum)` across hundreds
+//! of tenant worlds; the blocking [`loadgen`](crate::loadgen) generators
+//! are the single-world driver over these same clients, alternating a
+//! pump with a fixed scheduler slice until the workload completes.
 //!
-//! Protocol framing, keep-alive quotas, and the latency sketch lane
-//! ([`loadgen::REQUEST_CYCLES_SKETCH`]) are shared with the blocking
-//! generators, so per-request latency distributions are comparable between
-//! `bastion bench` and `bastion serve`.
+//! Both drivers share the framing, keep-alive quotas and latency sketch
+//! lane ([`REQUEST_CYCLES_SKETCH`]), so per-request latency distributions
+//! are comparable between `bastion bench` and `bastion serve`.
 
-use crate::loadgen::{complete_response, order_cmd, KEEPALIVE_REQUESTS, REQUEST_CYCLES_SKETCH};
 use crate::App;
 use bastion_kernel::{ExtConnId, World};
 use bastion_obs as obs;
+
+/// Quantile-sketch lane for end-to-end request latency in virtual cycles:
+/// HTTP per request, TPC-C per transaction, FTP per session. Observed only
+/// when thread-local telemetry is enabled — the drivers stay zero-overhead
+/// on plain benchmark runs.
+pub const REQUEST_CYCLES_SKETCH: &str = "loadgen.request_cycles";
+
+/// Requests served per keep-alive connection before the client reconnects
+/// (wrk reuses connections, which is why Table 4's accept4 count is far
+/// below the request count).
+pub const KEEPALIVE_REQUESTS: u64 = 29;
 
 /// A resumable client-side workload for one tenant world.
 #[derive(Debug)]
@@ -63,7 +73,7 @@ impl Traffic {
     pub fn done(&self) -> bool {
         match self {
             Traffic::Http(t) => t.requests >= t.total && t.conns.is_empty(),
-            Traffic::Tpcc(t) => t.transactions >= t.total && t.closed,
+            Traffic::Tpcc(t) => t.transactions >= t.total && t.issued > 0 && t.conns.is_empty(),
             Traffic::Ftp(t) => t.files >= t.downloads && t.state == FtpState::Between,
         }
     }
@@ -113,17 +123,20 @@ impl std::fmt::Debug for HttpConn {
     }
 }
 
-/// Stepped analogue of [`crate::loadgen::http_load`]: the same
-/// deterministic connection plan ([`KEEPALIVE_REQUESTS`] per keep-alive
-/// connection), one outstanding request per connection.
+/// wrk-style client: at most `concurrency` open keep-alive connections,
+/// one outstanding request each. The connection plan is deterministic —
+/// every connection carries [`KEEPALIVE_REQUESTS`] requests but the last,
+/// which carries the rest — so protected and baseline runs see identical
+/// workloads (connection-count jitter would otherwise mask sub-0.1%
+/// per-context overhead deltas). Responses are framed by their
+/// `Content-Length` header.
 #[derive(Debug)]
 pub struct HttpTraffic {
     port: u16,
     concurrency: usize,
     total: u64,
-    plan: Vec<u64>,
-    next_conn: usize,
-    issued: u64,
+    /// Requests not yet assigned to a connection.
+    unopened: u64,
     conns: Vec<HttpConn>,
     /// Completed requests.
     pub requests: u64,
@@ -134,46 +147,22 @@ pub struct HttpTraffic {
 impl HttpTraffic {
     /// A driver for `total` requests over `concurrency` connections.
     pub fn new(port: u16, concurrency: usize, total: u64) -> Self {
-        let mut plan = Vec::new();
-        let mut left = total;
-        while left > 0 {
-            let q = KEEPALIVE_REQUESTS.min(left);
-            plan.push(q);
-            left -= q;
-        }
         HttpTraffic {
             port,
             concurrency: concurrency.max(1),
             total,
-            plan,
-            next_conn: 0,
-            issued: 0,
+            unopened: total,
             conns: Vec::new(),
             requests: 0,
             bytes: 0,
         }
     }
 
+    /// Receives and closes before it connects, so a slot freed in this
+    /// pump is refilled in the same pump (before the next scheduler run).
     fn pump(&mut self, world: &mut World) -> bool {
         const REQUEST: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n";
         let mut progressed = false;
-        while self.conns.len() < self.concurrency && self.next_conn < self.plan.len() {
-            let Some(id) = world.net_connect(self.port) else {
-                break; // backlog full; let the server drain first
-            };
-            let quota = self.plan[self.next_conn];
-            self.next_conn += 1;
-            world.net_send(id, REQUEST);
-            self.issued += 1;
-            progressed = true;
-            self.conns.push(HttpConn {
-                id,
-                buf: Vec::new(),
-                remaining: quota - 1,
-                outstanding: true,
-                sent_at: world.now(),
-            });
-        }
         let mut i = 0;
         while i < self.conns.len() {
             let chunk = world.net_recv(self.conns[i].id);
@@ -191,17 +180,15 @@ impl HttpTraffic {
                 self.requests += 1;
                 self.bytes += len as u64;
                 progressed = true;
-                if self.conns[i].remaining > 0 && self.issued < self.total {
+                if self.conns[i].remaining > 0 {
                     world.net_send(self.conns[i].id, REQUEST);
                     self.conns[i].remaining -= 1;
                     self.conns[i].outstanding = true;
                     self.conns[i].sent_at = world.now();
-                    self.issued += 1;
                 }
             }
             let c = &self.conns[i];
-            let exhausted = !c.outstanding && (c.remaining == 0 || self.issued >= self.total);
-            if exhausted || world.net_server_closed(c.id) {
+            if (!c.outstanding && c.remaining == 0) || world.net_server_closed(c.id) {
                 world.net_close(c.id);
                 self.conns.swap_remove(i);
                 progressed = true;
@@ -209,22 +196,53 @@ impl HttpTraffic {
                 i += 1;
             }
         }
+        while self.conns.len() < self.concurrency && self.unopened > 0 {
+            let Some(id) = world.net_connect(self.port) else {
+                break; // backlog full; let the server drain first
+            };
+            let quota = KEEPALIVE_REQUESTS.min(self.unopened);
+            self.unopened -= quota;
+            world.net_send(id, REQUEST);
+            progressed = true;
+            self.conns.push(HttpConn {
+                id,
+                buf: Vec::new(),
+                remaining: quota - 1,
+                outstanding: true,
+                sent_at: world.now(),
+            });
+        }
         progressed
     }
 }
 
-/// Stepped analogue of [`crate::loadgen::tpcc_load`]: long-lived terminal
-/// sessions, one outstanding NEWORDER per session.
+/// If `buf` starts with a complete HTTP response (headers + body per
+/// `Content-Length`), returns its total length.
+fn complete_response(buf: &[u8]) -> Option<usize> {
+    let hdr_end = buf.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
+    let text = std::str::from_utf8(&buf[..hdr_end]).ok()?;
+    let mut body_len = 0usize;
+    for line in text.split("\r\n") {
+        if let Some(v) = line.strip_prefix("Content-Length: ") {
+            body_len = v.trim().parse().ok()?;
+        }
+    }
+    (buf.len() >= hdr_end + body_len).then_some(hdr_end + body_len)
+}
+
+/// DBT2-style client: long-lived terminal sessions opened up front, one
+/// outstanding NEWORDER per session, every terminal closed after the last
+/// commit.
 #[derive(Debug)]
 pub struct TpccTraffic {
     port: u16,
     sessions: usize,
     total: u64,
-    /// `(conn, buffered_replies, sent_at)` per open session.
+    /// `(conn, buffered_replies, sent_at)` per open session; empty before
+    /// the first successful pump and after the last commit.
     conns: Vec<(ExtConnId, u64, u64)>,
+    /// Transactions sent; nonzero once the terminals are open.
     issued: u64,
-    started: bool,
-    closed: bool,
     /// Committed transactions.
     pub transactions: u64,
 }
@@ -238,15 +256,14 @@ impl TpccTraffic {
             total,
             conns: Vec::new(),
             issued: 0,
-            started: false,
-            closed: false,
             transactions: 0,
         }
     }
 
     fn pump(&mut self, world: &mut World) -> bool {
-        if !self.started {
-            // Terminals connect up front and each seeds one transaction.
+        if self.issued == 0 {
+            // Terminals connect up front and each seeds one transaction;
+            // retried while the server is not yet parked in accept.
             for _ in 0..self.sessions {
                 let Some(c) = world.net_connect(self.port) else {
                     break;
@@ -255,11 +272,7 @@ impl TpccTraffic {
                 self.conns.push((c, 0, world.now()));
                 self.issued += 1;
             }
-            if self.conns.is_empty() {
-                return false; // server not parked in accept yet; retry
-            }
-            self.started = true;
-            return true;
+            return self.issued > 0;
         }
         let mut progressed = false;
         let now = world.now();
@@ -281,15 +294,24 @@ impl TpccTraffic {
                 }
             }
         }
-        if self.transactions >= self.total && !self.closed {
+        if self.transactions >= self.total && !self.conns.is_empty() {
             for (c, _, _) in self.conns.drain(..) {
                 world.net_close(c);
             }
-            self.closed = true;
             progressed = true;
         }
         progressed
     }
+}
+
+/// The `seq`-th NEWORDER command of the deterministic transaction mix.
+fn order_cmd(seq: u64) -> String {
+    format!(
+        "NEWORDER {} {} {}\n",
+        1 + seq % 4,
+        seq * 7 % 251,
+        1 + seq % 9
+    )
 }
 
 /// Where the FTP session state machine stands (one transition per pump).
@@ -303,25 +325,38 @@ enum FtpState {
     User,
     /// Sent `PASS`, awaiting `230`.
     Pass,
-    /// Sent `RETR`, awaiting the `227 <port>` passive announcement.
-    Pasv { retr_sent: bool },
+    /// Sent `RETR`, awaiting the `227 <port>` passive announcement; once
+    /// `port` is known, connecting the data channel.
+    Pasv { port: Option<u16> },
     /// Data channel open; draining until the control channel says `226`.
     Transfer { data: ExtConnId },
     /// Sent `QUIT`; next pump tears the session down.
     Quit { data: ExtConnId },
 }
 
-/// Stepped analogue of [`crate::loadgen::ftp_load`]: sequential RETR
-/// sessions, advanced one protocol transition per pump.
-#[derive(Debug)]
+impl FtpState {
+    /// The control-channel reply code this state waits for, if any.
+    fn awaiting(self) -> Option<&'static str> {
+        match self {
+            FtpState::Greeting => Some("220"),
+            FtpState::User => Some("331"),
+            FtpState::Pass => Some("230"),
+            FtpState::Pasv { port: None } => Some("227"),
+            FtpState::Transfer { .. } => Some("226"),
+            FtpState::Between | FtpState::Pasv { .. } | FtpState::Quit { .. } => None,
+        }
+    }
+}
+
+/// dkftpbench-style client: sequential RETR sessions ("launching clients
+/// one after another"), advanced one protocol transition per pump.
 pub struct FtpTraffic {
     port: u16,
     downloads: u64,
-    path: &'static str,
+    path: String,
     state: FtpState,
     ctrl: Option<ExtConnId>,
     ctrl_buf: Vec<u8>,
-    pasv_port: u16,
     session_start: u64,
     /// Files fully downloaded.
     pub files: u64,
@@ -329,27 +364,41 @@ pub struct FtpTraffic {
     pub bytes: u64,
 }
 
+/// Names the reply a stalled session waits for and what the control
+/// channel holds instead.
+impl std::fmt::Debug for FtpTraffic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FtpTraffic")
+            .field("state", &self.state)
+            .field("awaiting", &self.state.awaiting())
+            .field("ctrl_buf", &String::from_utf8_lossy(&self.ctrl_buf))
+            .field("files", &self.files)
+            .field("bytes", &self.bytes)
+            .finish()
+    }
+}
+
 impl FtpTraffic {
     /// A driver for `downloads` sequential sessions fetching `path`.
-    pub fn new(port: u16, downloads: u64, path: &'static str) -> Self {
+    pub fn new(port: u16, downloads: u64, path: &str) -> Self {
         FtpTraffic {
             port,
             downloads,
-            path,
+            path: path.to_string(),
             state: FtpState::Between,
             ctrl: None,
             ctrl_buf: Vec::new(),
-            pasv_port: 0,
             session_start: 0,
             files: 0,
             bytes: 0,
         }
     }
 
-    /// Scans buffered control-channel lines for a reply starting with
-    /// `code`; on a match consumes the buffer through that line and
+    /// Scans buffered control-channel lines for the reply the current
+    /// state awaits; on a match consumes the buffer through that line and
     /// returns the line.
-    fn take_reply(&mut self, code: &[u8]) -> Option<Vec<u8>> {
+    fn take_reply(&mut self) -> Option<Vec<u8>> {
+        let code = self.state.awaiting()?.as_bytes();
         let mut consumed = 0usize;
         for line in self.ctrl_buf.split_inclusive(|&b| b == b'\n') {
             consumed += line.len();
@@ -381,49 +430,38 @@ impl FtpTraffic {
                 self.state = FtpState::Greeting;
                 true
             }
-            FtpState::Greeting => {
-                if self.take_reply(b"220").is_some() {
-                    world.net_send(self.ctrl.unwrap(), b"USER bench\n");
-                    self.state = FtpState::User;
-                    return true;
+            FtpState::Greeting | FtpState::User | FtpState::Pass => {
+                if self.take_reply().is_none() {
+                    return false;
                 }
-                false
+                let (cmd, next) = match self.state {
+                    FtpState::Greeting => ("USER bench\n".to_string(), FtpState::User),
+                    FtpState::User => ("PASS bench\n".to_string(), FtpState::Pass),
+                    _ => (
+                        format!("RETR {}\n", self.path),
+                        FtpState::Pasv { port: None },
+                    ),
+                };
+                let ctrl = self.ctrl.expect("login runs on an open control connection");
+                world.net_send(ctrl, cmd.as_bytes());
+                self.state = next;
+                true
             }
-            FtpState::User => {
-                if self.take_reply(b"331").is_some() {
-                    world.net_send(self.ctrl.unwrap(), b"PASS bench\n");
-                    self.state = FtpState::Pass;
-                    return true;
-                }
-                false
-            }
-            FtpState::Pass => {
-                if self.take_reply(b"230").is_some() {
-                    world.net_send(
-                        self.ctrl.unwrap(),
-                        format!("RETR {}\n", self.path).as_bytes(),
-                    );
-                    self.state = FtpState::Pasv { retr_sent: true };
-                    return true;
-                }
-                false
-            }
-            FtpState::Pasv { .. } => {
-                if self.pasv_port == 0 {
-                    let Some(reply) = self.take_reply(b"227") else {
-                        return false;
-                    };
-                    self.pasv_port = String::from_utf8_lossy(&reply[4..])
+            FtpState::Pasv { port } => {
+                let port = match (port, self.take_reply()) {
+                    (Some(port), _) => port,
+                    (None, Some(reply)) => String::from_utf8_lossy(&reply[4..])
                         .trim()
                         .parse()
-                        .expect("pasv port");
-                }
+                        .expect("pasv port"),
+                    (None, None) => return false,
+                };
                 // The passive connect can race the server's listen; keep
                 // retrying on subsequent pumps.
-                let Some(data) = world.net_connect(self.pasv_port) else {
+                let Some(data) = world.net_connect(port) else {
+                    self.state = FtpState::Pasv { port: Some(port) };
                     return false;
                 };
-                self.pasv_port = 0;
                 self.state = FtpState::Transfer { data };
                 true
             }
@@ -434,10 +472,9 @@ impl FtpTraffic {
                     self.bytes += chunk.len() as u64;
                     progressed = true;
                 }
-                if self.take_reply(b"226").is_some() {
-                    // Drain trailing data bytes that landed with the 226.
-                    let tail = world.net_recv(data);
-                    self.bytes += tail.len() as u64;
+                // The data channel was drained above, after the scheduler
+                // slice that produced the `226`: no payload byte can trail it.
+                if self.take_reply().is_some() {
                     self.files += 1;
                     obs::sketch_observe(
                         REQUEST_CYCLES_SKETCH,
@@ -464,23 +501,95 @@ impl FtpTraffic {
 mod tests {
     use super::*;
 
+    /// Runs `t` against a booted webserve, asserting after every pump that
+    /// no slot is left empty while requests remain unopened — a slot freed
+    /// in a pump is refilled in that same pump. Returns each connection's
+    /// request quota in opening order.
+    fn run_http(mut t: HttpTraffic) -> Vec<u64> {
+        let app = App::Webserve;
+        let cost = bastion_vm::CostModel::default();
+        let image = std::sync::Arc::new(bastion_vm::Image::load(app.module().unwrap()).unwrap());
+        let mut world = World::new(cost);
+        app.setup_vfs(&mut world);
+        world.spawn(bastion_vm::Machine::new(image, cost));
+        world.run(200_000_000);
+        let (mut seen, mut quotas) = (Vec::new(), Vec::new());
+        for _ in 0..10_000 {
+            if t.requests >= t.total && t.conns.is_empty() {
+                break;
+            }
+            t.pump(&mut world);
+            for c in &t.conns {
+                if !seen.contains(&c.id) {
+                    seen.push(c.id);
+                    quotas.push(c.remaining + 1);
+                }
+            }
+            if t.unopened > 0 {
+                assert_eq!(t.conns.len(), t.concurrency, "slot left empty");
+            }
+            world.run(400_000);
+        }
+        assert_eq!(t.requests, t.total);
+        quotas
+    }
+
     #[test]
-    fn http_plan_matches_blocking_generator() {
-        let t = HttpTraffic::new(8080, 4, 100);
+    fn http_plan_splits_into_keepalive_quotas() {
         // 100 requests = 3 full keep-alive connections of 29 + one of 13.
-        assert_eq!(t.plan, vec![29, 29, 29, 13]);
-        let empty = HttpTraffic::new(8080, 4, 0);
-        assert!(empty.plan.is_empty());
-        assert!(Traffic::Http(empty).done());
+        let port = App::Webserve.port();
+        assert_eq!(
+            run_http(HttpTraffic::new(port, 4, 100)),
+            vec![29, 29, 29, 13]
+        );
+        assert!(Traffic::Http(HttpTraffic::new(port, 4, 0)).done());
+    }
+
+    #[test]
+    fn http_freed_slot_is_refilled_in_the_same_pump() {
+        // One slot, three connections: both refills happen in the pump
+        // that closes the previous connection.
+        let t = HttpTraffic::new(App::Webserve.port(), 1, 60);
+        assert_eq!(run_http(t), vec![29, 29, 2]);
+    }
+
+    #[test]
+    fn http_response_framing() {
+        let resp = b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n\r\nhello";
+        assert_eq!(complete_response(resp), Some(resp.len()));
+        // Incomplete body.
+        assert_eq!(complete_response(&resp[..resp.len() - 1]), None);
+        // Incomplete headers.
+        assert_eq!(complete_response(b"HTTP/1.0 200 OK\r\nContent-"), None);
+        // Zero-length body (404s).
+        let err = b"HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n";
+        assert_eq!(complete_response(err), Some(err.len()));
+        // Pipelined responses: only the first is consumed.
+        let mut two = resp.to_vec();
+        two.extend_from_slice(err);
+        assert_eq!(complete_response(&two), Some(resp.len()));
+    }
+
+    #[test]
+    fn order_commands_are_well_formed() {
+        for i in 0..50 {
+            let c = order_cmd(i);
+            assert!(c.starts_with("NEWORDER "));
+            assert!(c.ends_with('\n'));
+            assert_eq!(c.split_whitespace().count(), 4);
+        }
     }
 
     #[test]
     fn ftp_reply_scan_consumes_through_match() {
         let mut t = FtpTraffic::new(2100, 1, "/f");
         t.ctrl_buf = b"220 hello\n331 pw\nxx".to_vec();
-        assert_eq!(t.take_reply(b"220").unwrap(), b"220 hello\n");
-        assert!(t.take_reply(b"226").is_none(), "no 226 buffered yet");
-        assert_eq!(t.take_reply(b"331").unwrap(), b"331 pw\n");
+        t.state = FtpState::Greeting;
+        assert_eq!(t.take_reply().unwrap(), b"220 hello\n");
+        t.state = FtpState::Transfer { data: 0 };
+        assert!(t.take_reply().is_none(), "no 226 buffered yet");
+        t.state = FtpState::User;
+        assert_eq!(t.take_reply().unwrap(), b"331 pw\n");
         assert_eq!(t.ctrl_buf, b"xx");
     }
 

@@ -91,3 +91,72 @@ fn ftpd_streams_downloads() {
     let secs = stats.seconds_for(100_000_000, 2_000_000_000);
     assert!(secs.is_finite() && secs > 0.0);
 }
+
+#[test]
+fn http_refill_order_is_pinned() {
+    // Concurrency binds: 300 requests are 11 keep-alive connections over 6
+    // slots. A slot freed while the other connections keep the server busy
+    // must be refilled before the next scheduler slice; refilling it one
+    // slice later moves `cycles`. (With fewer slots every connection of a
+    // wave finishes in the same slice, the world parks, and a late refill
+    // costs no virtual time, so such a load cannot pin the order.)
+    let mut world = boot(App::Webserve);
+    let stats = loadgen::http_load(&mut world, App::Webserve.port(), 6, 300);
+    assert_eq!(
+        (stats.requests, stats.bytes, stats.cycles),
+        (300, 2_035_800, 20_473_030)
+    );
+    // 32 parked workers + one accept per keep-alive connection.
+    assert_eq!(world.kernel.count_of(sysno::ACCEPT4), 32 + 11);
+}
+
+#[test]
+fn tpcc_batches_release_their_sessions() {
+    // Each batch must close its terminals: 3 batches of 4 sessions would
+    // otherwise leave all 8 dbkv workers blocked reading dead connections.
+    let mut world = boot(App::Dbkv);
+    for batch in 0..3 {
+        let stats = loadgen::tpcc_load(&mut world, App::Dbkv.port(), 4, 32);
+        assert_eq!(stats.transactions, 32, "batch {batch}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "http_load stalled")]
+fn http_load_without_server_stalls() {
+    let mut world = World::new(CostModel::default());
+    loadgen::http_load(&mut world, App::Webserve.port(), 2, 10);
+}
+
+#[test]
+#[should_panic(expected = "tpcc_load stalled")]
+fn tpcc_load_without_server_stalls() {
+    let mut world = World::new(CostModel::default());
+    loadgen::tpcc_load(&mut world, App::Dbkv.port(), 2, 10);
+}
+
+#[test]
+#[should_panic(expected = "ftp_load stalled")]
+fn ftp_load_without_server_stalls() {
+    let mut world = World::new(CostModel::default());
+    loadgen::ftp_load(
+        &mut world,
+        App::Ftpd.port(),
+        1,
+        bastion_apps::ftpd::FILE_PATH,
+    );
+}
+
+#[test]
+#[should_panic(expected = "awaiting: Some(\"220\")")]
+fn ftp_stall_names_the_awaited_reply() {
+    // webserve accepts the control connection but never greets, so the
+    // FTP client stalls waiting for `220`.
+    let mut world = boot(App::Webserve);
+    loadgen::ftp_load(
+        &mut world,
+        App::Webserve.port(),
+        1,
+        bastion_apps::ftpd::FILE_PATH,
+    );
+}
