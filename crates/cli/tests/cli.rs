@@ -121,3 +121,34 @@ fn compile_error_reporting() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("nope"));
 }
+
+#[test]
+fn stats_prints_sketch_lines_and_summary_exposition() {
+    let src = write_demo();
+    let out = bastion()
+        .args(["stats", src.to_str().unwrap(), "--no-prefilter"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let verify = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("trap.verify_cycles"))
+        .unwrap_or_else(|| panic!("no trap.verify_cycles line: {stdout}"));
+    for field in ["count=", "min=", "max=", "mean=", "p50=", "p999="] {
+        assert!(verify.contains(field), "{field} missing: {verify}");
+    }
+    assert!(!stdout.contains("histogram"), "{stdout}");
+
+    let out = bastion()
+        .args(["stats", src.to_str().unwrap(), "--no-prefilter", "--prom"])
+        .output()
+        .unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{text}");
+    // The exposition follows the program output and the monitor report.
+    let prom = &text[text.find("# TYPE").expect("no exposition")..];
+    let shape = bastion::obs::validate_prometheus(prom).expect("valid exposition");
+    assert_eq!(shape.histograms, 0, "{text}");
+    assert!(shape.summaries > 0, "{text}");
+}

@@ -141,8 +141,9 @@ pub struct ContextMetadata {
     pub prop_sites: BTreeMap<u64, Vec<(u8, ArgMeta)>>,
     /// Main-rooted syscall-flow automaton over the sensitive alphabet
     /// (initial nrs + ordered adjacency edges); nr-based, so rebasing is
-    /// the identity. Empty means "no flow information" and consumers fall
-    /// back to coarse reachability.
+    /// the identity. Empty means "no flow information": the tier-1
+    /// prefilter then admits no trap and escalates every one to the
+    /// monitor as a flow miss.
     pub syscall_flow: SyscallFlow,
     /// Table 5 statistics.
     pub stats: InstrStats,

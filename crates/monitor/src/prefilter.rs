@@ -24,7 +24,8 @@
 //! read anomaly. The flow check is an **edge-precise automaton** over the
 //! compiler's [`bastion_compiler::metadata::ContextMetadata::syscall_flow`]
 //! (one compact state word per pid); metadata without flow information
-//! falls back to the PR-6 coarse reachability digraph.
+//! compiles to an automaton that admits nothing, so every sensitive trap
+//! escalates as a flow miss.
 
 use crate::verify::const_to_u64;
 use crate::{ContextConfig, LaunchInfo};
@@ -34,7 +35,7 @@ use bastion_kernel::{EscalateReason as R, Pid, PrefilterVerdict, Tracee};
 use bastion_obs as obs;
 use bastion_vm::shadow::Binding;
 use bastion_vm::ShadowTable;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// CT flag bits in [`Prefilter::ct_flags`].
 const CT_CALLABLE: u8 = 1 << 0;
@@ -171,31 +172,20 @@ impl Prefilter {
         // The compiler's main-rooted flow analysis gives the edge-precise
         // automaton: which nrs may trap first, and which nr-to-nr
         // transitions the program can actually produce. Metadata without
-        // flow information (hand-built, or from an older compiler) falls
-        // back to the coarse order-insensitive reachability digraph —
-        // every state permits exactly the main-reachable set. Either
+        // flow information (hand-built, or from an older compiler) yields
+        // an all-false table, so every trap escalates as a flow miss. The
         // table only trades escalations, never allows: a flow miss hands
         // the trap to the monitor, which has no flow check at all.
-        let (flow_initial, flow_edges) = if md.syscall_flow.is_empty() {
-            let reach = reachable_nrs(md, &nrs, &nr_idx);
-            let mut dense = vec![false; nrs.len() * nrs.len()];
-            for row in dense.chunks_mut(nrs.len().max(1)) {
-                row.copy_from_slice(&reach);
+        let flow_initial = nrs
+            .iter()
+            .map(|nr| md.syscall_flow.initial.contains(nr))
+            .collect();
+        let mut flow_edges = vec![false; nrs.len() * nrs.len()];
+        for &(a, b) in &md.syscall_flow.edges {
+            if let (Some(&i), Some(&j)) = (nr_idx.get(&a), nr_idx.get(&b)) {
+                flow_edges[i * nrs.len() + j] = true;
             }
-            (reach, dense)
-        } else {
-            let initial = nrs
-                .iter()
-                .map(|nr| md.syscall_flow.initial.contains(nr))
-                .collect();
-            let mut dense = vec![false; nrs.len() * nrs.len()];
-            for &(a, b) in &md.syscall_flow.edges {
-                if let (Some(&i), Some(&j)) = (nr_idx.get(&a), nr_idx.get(&b)) {
-                    dense[i * nrs.len() + j] = true;
-                }
-            }
-            (initial, dense)
-        };
+        }
 
         let callsites = md
             .callsites
@@ -588,54 +578,6 @@ impl Prefilter {
     }
 }
 
-/// The PR-6 fallback flow table: a sensitive nr is *flow-reachable* iff
-/// some syscall site invoking it sits in a function reachable from `main`
-/// through the callsite metadata (indirect callsites fan out to every
-/// address-taken function).
-fn reachable_nrs(md: &ContextMetadata, nrs: &[u32], nr_idx: &BTreeMap<u32, usize>) -> Vec<bool> {
-    let mut edges: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-    let taken: Vec<u64> = md
-        .functions
-        .values()
-        .filter(|f| f.address_taken)
-        .map(|f| f.entry)
-        .collect();
-    for cs in md.callsites.values() {
-        let outs = edges.entry(cs.in_func).or_default();
-        match cs.kind {
-            CallsiteKind::Direct(t) => {
-                outs.insert(t);
-            }
-            CallsiteKind::Indirect => {
-                outs.extend(taken.iter().copied());
-            }
-        }
-    }
-    let mut reachable: BTreeSet<u64> = BTreeSet::new();
-    let mut queue = vec![md.main_entry];
-    while let Some(f) = queue.pop() {
-        if !reachable.insert(f) {
-            continue;
-        }
-        if let Some(outs) = edges.get(&f) {
-            queue.extend(outs.iter().copied());
-        }
-    }
-    let mut reach = vec![false; nrs.len()];
-    for (cs_addr, site) in &md.syscall_sites {
-        let in_reach = md
-            .callsites
-            .get(cs_addr)
-            .is_some_and(|c| reachable.contains(&c.in_func));
-        if in_reach {
-            if let Some(&i) = nr_idx.get(&site.nr) {
-                reach[i] = true;
-            }
-        }
-    }
-    reach
-}
-
 /// Tier-1 probe row: mirrors the monitor's extended-pointee verification
 /// (`verify_pointee_shadow`) byte for byte, escalating wherever it would
 /// deny. The bounded window is read with the flat-charged in-address-space
@@ -647,7 +589,7 @@ fn probe_pointee(tracee: &mut Tracee<'_>, shadow: &ShadowTable, ptr: u64) -> Res
     let mapped = tracee.kernel_read_mem_prefix(ptr, &mut buf);
     let nul = buf[..mapped].iter().position(|&b| b == 0);
     let (n, nul_found) = (nul.map_or(mapped, |z| z + 1), nul.is_some());
-    obs::observe("prefilter.pointee_probe_len", n as u64);
+    obs::sketch_observe("prefilter.pointee_probe_len", n as u64);
     for (i, &byte) in buf[..n].iter().enumerate() {
         match shadow.read_value_checked(&tracee.shared_shadow(), ptr + i as u64) {
             Ok(Some((legit, size))) => {

@@ -1,6 +1,7 @@
 //! End-to-end enforcement tests: compile → load → protect → run, then
 //! corrupt state like an attacker and observe which context fires.
 
+use bastion_compiler::metadata::ContextMetadata;
 use bastion_compiler::BastionCompiler;
 use bastion_ir::build::ModuleBuilder;
 use bastion_ir::{sysno, Module, Operand, Ty};
@@ -70,7 +71,13 @@ struct Setup {
 }
 
 fn launch(cfg: ContextConfig) -> Setup {
-    let out = BastionCompiler::new().compile(app()).unwrap();
+    launch_with_metadata(cfg, |_| {})
+}
+
+/// [`launch`] with the compiled metadata edited before the monitor sees it.
+fn launch_with_metadata(cfg: ContextConfig, edit: impl FnOnce(&mut ContextMetadata)) -> Setup {
+    let mut out = BastionCompiler::new().compile(app()).unwrap();
+    edit(&mut out.metadata);
     let image = Arc::new(Image::load(out.module.clone()).unwrap());
     let machine = Machine::new(image.clone(), CostModel::default());
     let mut world = World::new(CostModel::default());
@@ -294,6 +301,35 @@ fn monitor_collects_depth_statistics() {
         monitor.log,
         vec![(sysno::MMAP, true), (sysno::EXECVE, true)]
     );
+}
+
+#[test]
+fn missing_flow_escalates_every_trap_as_flow_miss() {
+    // Metadata without syscall-flow information admits nothing at tier 1:
+    // every sensitive trap escalates as a flow miss, and the monitor —
+    // which has no flow check — reaches the same verdicts.
+    let monitor_of = |mut s: Setup| {
+        assert_eq!(s.world.run(50_000_000), RunStatus::AllExited);
+        let exit = s.world.proc(s.pid).unwrap().exit.clone().unwrap();
+        let tracer = s.world.take_tracer().unwrap();
+        let monitor = tracer
+            .as_any()
+            .downcast_ref::<bastion_monitor::Monitor>()
+            .expect("tracer is the BASTION monitor");
+        (exit, monitor.log.clone(), monitor.stats.clone())
+    };
+    let (exit, log, with_flow) = monitor_of(launch(ContextConfig::full()));
+    let (exit_nf, log_nf, no_flow) =
+        monitor_of(launch_with_metadata(ContextConfig::full(), |md| {
+            md.syscall_flow = Default::default()
+        }));
+    assert_eq!(exit_nf, exit);
+    assert_eq!(log_nf, log);
+    assert_eq!(with_flow.prefilter_hits, 2);
+    assert_eq!(no_flow.prefilter_checks, 2);
+    assert_eq!(no_flow.prefilter_hits, 0);
+    assert_eq!(no_flow.prefilter_escalations, 2);
+    assert_eq!(no_flow.escalations_by_reason(), vec![("flow_miss", 2)]);
 }
 
 #[test]

@@ -258,23 +258,11 @@ pub fn metrics_jsonl_line(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -
         })
         .collect();
     fields.push(("sketches", Value::Array(sketches)));
-    let hists: Vec<Value> = snapshot
-        .histograms
-        .iter()
-        .map(|h| {
-            obj(vec![
-                ("name", Value::Str(h.name.clone())),
-                ("count", Value::UInt(h.count)),
-                ("sum", Value::UInt(h.sum)),
-            ])
-        })
-        .collect();
-    fields.push(("histograms", Value::Array(hists)));
     serde_json::to_string(&RawValue(obj(fields))).expect("jsonl line serializes")
 }
 
 /// Sanitizes a dotted metric name into a Prometheus metric name:
-/// `kernel.cycles_per_trap` → `bastion_kernel_cycles_per_trap`.
+/// `trap.verify_cycles` → `bastion_trap_verify_cycles`.
 fn prom_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 8);
     out.push_str("bastion_");
@@ -306,11 +294,10 @@ fn prom_labels(labels: &[(&str, &str)], extra: Option<(&str, &str)>) -> String {
 }
 
 /// Renders a metrics snapshot in the Prometheus text exposition format
-/// (version 0.0.4): counters as `counter`, histograms as cumulative
-/// `histogram` families (`_bucket`/`_sum`/`_count` with an `+Inf` edge),
-/// and quantile sketches as `summary` families (p50/p95/p99/p999
-/// `quantile` series plus `_sum`/`_count`). `labels` are attached to
-/// every sample — the per-World/tenant lane mechanism `bastiond` reuses.
+/// (version 0.0.4): counters as `counter` and quantile sketches as
+/// `summary` families (p50/p95/p99/p999 `quantile` series plus
+/// `_sum`/`_count`). `labels` are attached to every sample — the
+/// per-World/tenant lane mechanism `bastiond` reuses.
 pub fn prometheus_text(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -> String {
     let mut out = String::new();
     for c in &snapshot.counters {
@@ -320,33 +307,6 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot, labels: &[(&str, &str)]) -> S
             "{name}{} {}\n",
             prom_labels(labels, None),
             c.value
-        ));
-    }
-    for h in &snapshot.histograms {
-        let name = prom_name(&h.name);
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cumulative = 0u64;
-        for b in &h.buckets {
-            cumulative += b.count;
-            let le = if b.le == u64::MAX {
-                "+Inf".to_string()
-            } else {
-                b.le.to_string()
-            };
-            out.push_str(&format!(
-                "{name}_bucket{} {cumulative}\n",
-                prom_labels(labels, Some(("le", &le)))
-            ));
-        }
-        out.push_str(&format!(
-            "{name}_sum{} {}\n",
-            prom_labels(labels, None),
-            h.sum
-        ));
-        out.push_str(&format!(
-            "{name}_count{} {}\n",
-            prom_labels(labels, None),
-            h.count
         ));
     }
     for s in &snapshot.sketches {
@@ -629,8 +589,6 @@ mod tests {
     fn sample_snapshot() -> MetricsSnapshot {
         let mut r = crate::metrics::MetricsRegistry::new();
         r.counter_add("monitor.denies", 3);
-        r.observe("kernel.cycles_per_trap", 120);
-        r.observe("kernel.cycles_per_trap", 7000);
         for v in [100u64, 200, 300, 5000] {
             r.sketch_observe("trap.verify_cycles", v);
         }
@@ -642,21 +600,14 @@ mod tests {
         let snap = sample_snapshot();
         let text = prometheus_text(&snap, &[("world", "webserve")]);
         let shape = validate_prometheus(&text).expect("valid exposition");
-        assert_eq!(shape.families, 3);
-        assert_eq!(shape.histograms, 1);
+        assert_eq!(shape.families, 2);
+        assert_eq!(shape.histograms, 0);
         assert_eq!(shape.summaries, 1);
         assert!(text.contains("bastion_monitor_denies{world=\"webserve\"} 3"));
-        assert!(text.contains("le=\"+Inf\""));
+        assert!(!text.contains("_bucket"));
         assert!(text.contains("quantile=\"0.99\""));
+        assert!(text.contains("bastion_trap_verify_cycles_sum{world=\"webserve\"} 5600"));
         assert!(text.contains("bastion_trap_verify_cycles_count{world=\"webserve\"} 4"));
-        // Histogram buckets are cumulative: the +Inf bucket equals _count.
-        let inf = text
-            .lines()
-            .find(|l| l.contains("le=\"+Inf\""))
-            .and_then(|l| l.rsplit_once(' '))
-            .map(|(_, v)| v)
-            .unwrap();
-        assert_eq!(inf, "2");
         // Unlabelled exposition also validates.
         validate_prometheus(&prometheus_text(&snap, &[])).expect("unlabelled validates");
     }
@@ -685,6 +636,7 @@ mod tests {
         assert!(line.starts_with("{\"world\":\"dbkv\",\"tenant\":\"7\""));
         assert!(line.contains("\"sketches\""));
         assert!(line.contains("\"p999\""));
+        assert!(!line.contains("\"histograms\""));
         // And it parses back as JSON.
         let v: super::RawValue = serde_json::from_str(&line).expect("parses");
         assert!(matches!(v.0, Value::Object(_)));

@@ -1,9 +1,9 @@
 //! Deterministic mergeable quantile sketch (DDSketch-style, zero-dep).
 //!
-//! The registry's fixed-bucket [`crate::metrics::Histogram`] answers "how
-//! many traps cost 512..1024 cycles", but a serving system wants p50/p95/
+//! The registry's one distribution type. A serving system wants p50/p95/
 //! p99/p999 lanes with a bounded relative error, mergeable across fleet
-//! workers without losing accuracy. This sketch maps every `u64`
+//! workers without losing accuracy, and small-valued distributions (walk
+//! depth, probe length) want exact counts. This sketch maps every `u64`
 //! observation to a log-bucketed index with **pure integer arithmetic**:
 //!
 //! * values `< 128` index themselves (the linear region — exact);

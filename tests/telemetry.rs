@@ -6,17 +6,23 @@
 //! * a wrapped span ring still exports a **balanced, validating** Chrome
 //!   trace (orphans dropped, dangling spans closed);
 //! * the disabled tracer records **nothing** — no events, no metrics;
+//! * the walk-depth sketch agrees exactly with `MonitorStats`' depth
+//!   statistics on a tier-2-only run;
 //! * every monitor deny in the Table 6 catalog yields **exactly one**
 //!   structured [`DenyRecord`] whose rendered message is byte-identical to
 //!   the legacy `MonitorKill` reason string;
 //! * deny records join the fault-injection log on the world trap sequence
 //!   number (`DenyRecord::trap_seq` == `InjectedFault::world_trap`).
 
+use bastion::apps::App;
+use bastion::compiler::BastionCompiler;
+use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::obs;
 use bastion::obs::{DenyRecord, Phase};
 use bastion_attacks::{AttackEnv, Scenario};
 use bastion_kernel::{ExitReason, FaultKind, FaultSchedule, Trigger};
 use bastion_monitor::ContextConfig;
+use bastion_vm::CostModel;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -77,7 +83,7 @@ fn deep_nesting_survives_wraparound() {
 #[test]
 fn disabled_tracer_records_nothing_end_to_end() {
     // A monitored end-to-end run with telemetry off: the obs layer must
-    // stay completely empty — no events, no counters, no histograms.
+    // stay completely empty — no events, no counters, no sketches.
     assert!(!obs::is_enabled());
     let d = bastion::Deployment::from_minic(
         "t",
@@ -101,10 +107,39 @@ fn disabled_tracer_records_nothing_end_to_end() {
     assert_eq!(obs::event_count(), 0, "disabled tracer recorded events");
     let m = obs::metrics_snapshot();
     assert!(m.counters.is_empty(), "disabled metrics recorded counters");
-    assert!(
-        m.histograms.is_empty(),
-        "disabled metrics recorded histograms"
+    assert!(m.sketches.is_empty(), "disabled metrics recorded sketches");
+}
+
+// ---------------------------------------------------------------------------
+// Metrics vs MonitorStats
+// ---------------------------------------------------------------------------
+
+#[test]
+fn walk_depth_sketch_matches_monitor_stats() {
+    // Tier-2 only, so every sensitive trap is walked by the monitor (the
+    // prefilter would settle clean traps without a walk). Walk depths and
+    // shadow probe lengths stay below 128, where the sketch is exact, so
+    // its aggregates must equal the monitor's own depth statistics.
+    let mut protection = bastion::Protection::full();
+    protection.monitor = Some(ContextConfig::full().with_prefilter(false));
+    let guard = obs::TelemetryGuard::enable(1 << 10);
+    let run = run_app_benchmark(
+        App::Webserve,
+        &protection,
+        &WorkloadSize::quick(),
+        &BastionCompiler::new(),
+        CostModel::default(),
     );
+    let (_, registry) = guard.finish();
+    let stats = run.monitor.expect("monitor attached");
+    let m = registry.snapshot();
+    let depth = m.sketch("monitor.walk_depth").expect("walk depth recorded");
+    assert!(depth.count > 0);
+    assert_eq!(depth.sum, stats.frames_walked);
+    assert_eq!(depth.min, stats.min_depth);
+    assert_eq!(depth.max, stats.max_depth);
+    let probe = m.sketch("shadow.probe_len").expect("probe length recorded");
+    assert!(probe.count > 0);
 }
 
 // ---------------------------------------------------------------------------
