@@ -27,6 +27,7 @@ pub mod webserve;
 use bastion_ir::Module;
 use bastion_kernel::World;
 use bastion_minic::{compile_program, FrontError};
+use std::sync::{Arc, OnceLock};
 
 /// One of the three evaluation applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,13 +104,25 @@ impl App {
                 world.kernel.vfs.put_file(dbkv::WAL_PATH, Vec::new(), 0o600);
             }
             App::Ftpd => {
-                let payload: Vec<u8> = (0..ftpd::FILE_BYTES)
-                    .map(|i| (i * 31 % 251) as u8)
-                    .collect();
+                let payload = Arc::clone(ftp_payload());
                 world.kernel.vfs.put_file(ftpd::FILE_PATH, payload, 0o644);
             }
         }
     }
+}
+
+/// The ftpd download payload (`i * 31 % 251` for byte `i`), built once per
+/// process and shared copy-on-write by every world's VFS, the way tenants
+/// share compiled images.
+fn ftp_payload() -> &'static Arc<Vec<u8>> {
+    static PAYLOAD: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+    PAYLOAD.get_or_init(|| {
+        Arc::new(
+            (0..ftpd::FILE_BYTES)
+                .map(|i| (i * 31 % 251) as u8)
+                .collect(),
+        )
+    })
 }
 
 /// Deterministic pseudo-HTML page content of the given size.
@@ -143,5 +156,23 @@ mod tests {
             w.kernel.vfs.file(webserve::PAGE_PATH).unwrap().data.len(),
             webserve::PAGE_BYTES
         );
+    }
+
+    #[test]
+    fn ftpd_worlds_share_one_payload() {
+        let payload = |w: &World| Arc::clone(&w.kernel.vfs.file(ftpd::FILE_PATH).unwrap().data);
+        let (mut a, mut b) = (
+            World::new(bastion_vm::CostModel::default()),
+            World::new(bastion_vm::CostModel::default()),
+        );
+        App::Ftpd.setup_vfs(&mut a);
+        App::Ftpd.setup_vfs(&mut b);
+        let (pa, pb) = (payload(&a), payload(&b));
+        assert!(Arc::ptr_eq(&pa, &pb), "each world built its own payload");
+        assert_eq!(pa.len(), ftpd::FILE_BYTES);
+        assert!(pa
+            .iter()
+            .enumerate()
+            .all(|(i, &v)| v == (i * 31 % 251) as u8));
     }
 }

@@ -466,12 +466,10 @@ impl FtpTraffic {
                 true
             }
             FtpState::Transfer { data } => {
-                let mut progressed = false;
-                let chunk = world.net_recv(data);
-                if !chunk.is_empty() {
-                    self.bytes += chunk.len() as u64;
-                    progressed = true;
-                }
+                // dkftpbench never inspects the payload: count, don't copy.
+                let n = world.net_discard(data);
+                let mut progressed = n > 0;
+                self.bytes += n as u64;
                 // The data channel was drained above, after the scheduler
                 // slice that produced the `226`: no payload byte can trail it.
                 if self.take_reply().is_some() {

@@ -4,14 +4,20 @@
 //! workload applications (static pages for the web server, WAL and data
 //! files for the database, download files for the FTP server) and for the
 //! `chmod` privilege-escalation scenarios of Table 6.
+//!
+//! File contents are reference-counted: cloning a [`Vfs`] (a world
+//! snapshot or restore) shares every file's bytes, and a writer breaks the
+//! sharing for that one file with `Arc::make_mut` (copy-on-write, like
+//! memory pages).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A regular file.
 #[derive(Debug, Clone, Default)]
 pub struct FileNode {
-    /// File contents.
-    pub data: Vec<u8>,
+    /// File contents, shared copy-on-write across VFS clones.
+    pub data: Arc<Vec<u8>>,
     /// POSIX mode bits (e.g. 0o644).
     pub mode: u32,
     /// Whether the execute bit matters for `execve` (convenience flag).
@@ -33,13 +39,14 @@ impl Vfs {
         v
     }
 
-    /// Creates or replaces a file.
-    pub fn put_file(&mut self, path: impl Into<String>, data: Vec<u8>, mode: u32) {
+    /// Creates or replaces a file. Passing an `Arc` shares its bytes with
+    /// the caller (and every other VFS holding it) until one side writes.
+    pub fn put_file(&mut self, path: impl Into<String>, data: impl Into<Arc<Vec<u8>>>, mode: u32) {
         let path = path.into();
         self.files.insert(
             path,
             FileNode {
-                data,
+                data: data.into(),
                 executable: mode & 0o111 != 0,
                 mode,
             },
@@ -122,7 +129,7 @@ mod tests {
         let mut v = Vfs::new();
         v.put_file("/srv/index.html", b"<html>".to_vec(), 0o644);
         assert!(v.exists("/srv/index.html"));
-        assert_eq!(v.file("/srv/index.html").unwrap().data, b"<html>");
+        assert_eq!(*v.file("/srv/index.html").unwrap().data, b"<html>");
         assert!(v.unlink("/srv/index.html"));
         assert!(!v.exists("/srv/index.html"));
         assert!(!v.unlink("/srv/index.html"));
@@ -144,7 +151,7 @@ mod tests {
         v.put_file("/a", b"x".to_vec(), 0o644);
         assert!(v.rename("/a", "/b"));
         assert!(!v.exists("/a"));
-        assert_eq!(v.file("/b").unwrap().data, b"x");
+        assert_eq!(*v.file("/b").unwrap().data, b"x");
     }
 
     #[test]

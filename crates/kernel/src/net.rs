@@ -5,7 +5,11 @@
 //! (`accept`, `read`, `write`, `sendfile`); the *client* side is driven by
 //! the Rust workload generators (the `wrk`/`DBT2`/`dkftpbench` analogues)
 //! through [`Net::external_connect`] / [`Net::client_send`] /
-//! [`Net::client_recv`].
+//! [`Net::client_recv`] (or the count-only [`Net::client_discard`]).
+//!
+//! Queues are `VecDeque<u8>` rings moved in bulk: appends copy whole
+//! slices and reads copy the ring's two halves (`as_slices`), never one
+//! byte at a time.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -132,19 +136,11 @@ impl Net {
 
     /// Server-side read into `buf`.
     pub fn server_read(&mut self, cid: ConnId, buf: &mut [u8]) -> ReadOutcome {
-        let c = &mut self.conns[cid];
-        if c.to_server.is_empty() {
-            return if c.client_closed {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::WouldBlock
-            };
+        let out = self.server_peek(cid, buf);
+        if let ReadOutcome::Data(n) = out {
+            self.conns[cid].to_server.drain(..n);
         }
-        let n = buf.len().min(c.to_server.len());
-        for b in buf.iter_mut().take(n) {
-            *b = c.to_server.pop_front().unwrap();
-        }
-        ReadOutcome::Data(n)
+        out
     }
 
     /// Server-side peek into `buf`: like [`Net::server_read`] but leaves
@@ -161,11 +157,12 @@ impl Net {
                 ReadOutcome::WouldBlock
             };
         }
-        let n = buf.len().min(c.to_server.len());
-        for (b, q) in buf.iter_mut().zip(c.to_server.iter()).take(n) {
-            *b = *q;
-        }
-        ReadOutcome::Data(n)
+        ReadOutcome::Data(copy_front(&c.to_server, buf))
+    }
+
+    /// Bytes queued for the server to read.
+    pub(crate) fn server_pending(&self, cid: ConnId) -> usize {
+        self.conns[cid].to_server.len()
     }
 
     /// Discards the first `n` queued server-side bytes (pairs with
@@ -207,8 +204,21 @@ impl Net {
 
     /// Client-side receive: drains everything available.
     pub fn client_recv(&mut self, cid: ConnId) -> Vec<u8> {
-        let c = &mut self.conns[cid];
-        c.to_client.drain(..).collect()
+        let q = &mut self.conns[cid].to_client;
+        let (head, tail) = q.as_slices();
+        let out = [head, tail].concat();
+        q.clear();
+        out
+    }
+
+    /// Client-side receive that only counts: drains everything available
+    /// and returns how many bytes that was, for clients that never inspect
+    /// the payload (the dkftpbench data channel).
+    pub fn client_discard(&mut self, cid: ConnId) -> usize {
+        let q = &mut self.conns[cid].to_client;
+        let n = q.len();
+        q.clear();
+        n
     }
 
     /// Client closes its side (server reads then see EOF).
@@ -243,6 +253,17 @@ impl Net {
         });
         cid
     }
+}
+
+/// Copies the first `min(buf.len(), q.len())` queued bytes into `buf`
+/// (both halves of the ring, slice by slice) and returns the count.
+fn copy_front(q: &VecDeque<u8>, buf: &mut [u8]) -> usize {
+    let n = buf.len().min(q.len());
+    let (head, tail) = q.as_slices();
+    let h = n.min(head.len());
+    buf[..h].copy_from_slice(&head[..h]);
+    buf[h..n].copy_from_slice(&tail[..n - h]);
+    n
 }
 
 #[cfg(test)]
@@ -315,6 +336,148 @@ mod tests {
         assert_eq!(n.server_peek(c, &mut rest), ReadOutcome::Eof);
         // Over-long consume saturates instead of panicking.
         n.server_consume(c, 99);
+    }
+
+    #[test]
+    fn client_discard_counts_and_drains() {
+        let mut n = Net::new();
+        let l = n.listen(21, 4).unwrap();
+        let c = n.external_connect(21).unwrap();
+        n.accept(l).unwrap();
+        n.server_write(c, b"payload");
+        n.server_write(c, b"!");
+        assert_eq!(n.client_discard(c), 8);
+        assert_eq!(n.client_discard(c), 0);
+        assert!(n.client_recv(c).is_empty());
+    }
+
+    /// A plain-`Vec` reference model of one connection.
+    #[derive(Default)]
+    struct Model {
+        to_server: Vec<u8>,
+        to_client: Vec<u8>,
+        client_closed: bool,
+        server_closed: bool,
+    }
+
+    impl Model {
+        fn outcome(&self, n: usize) -> ReadOutcome {
+            match (self.to_server.is_empty(), self.client_closed) {
+                (false, _) => ReadOutcome::Data(n.min(self.to_server.len())),
+                (true, true) => ReadOutcome::Eof,
+                (true, false) => ReadOutcome::WouldBlock,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random interleavings of every client and server queue operation
+        /// against the `Vec` model: identical outcomes and bytes in order,
+        /// with every accepted byte read, discarded or still queued. Each
+        /// case first wraps the server queue's ring so reads really see
+        /// both `as_slices` halves.
+        #[test]
+        fn queues_match_a_vec_model(
+            ops in proptest::collection::vec((0u8..20, 0usize..300), 1..120)
+        ) {
+            let mut n = Net::new();
+            let l = n.listen(80, 4).unwrap();
+            let c = n.external_connect(80).unwrap();
+            n.accept(l).unwrap();
+            let mut m = Model::default();
+            let mut seq = 0u8;
+            let mut fill = |len: usize| -> Vec<u8> {
+                (0..len).map(|_| { seq = seq.wrapping_add(1); seq }).collect()
+            };
+            // Wrap: leave one byte at the ring's end, then refill to
+            // exactly the capacity so the tail runs past it.
+            let head = fill(100);
+            n.client_send(c, &head);
+            let mut buf = vec![0u8; 99];
+            assert_eq!(n.server_read(c, &mut buf), ReadOutcome::Data(99));
+            let cap = n.conns[c].to_server.capacity();
+            let tail = fill(cap - 1);
+            n.client_send(c, &tail);
+            assert!(!n.conns[c].to_server.as_slices().1.is_empty(), "ring did not wrap");
+            assert_eq!(n.conns[c].to_server.capacity(), cap);
+            m.to_server.extend_from_slice(&head[99..]);
+            m.to_server.extend_from_slice(&tail);
+            let (mut sent, mut read) = (tail.len() + 1, 0usize);
+            let (mut written, mut received) = (0usize, 0usize);
+
+            for (op, len) in ops {
+                match op {
+                    0..=4 => {
+                        let bytes = fill(len);
+                        n.client_send(c, &bytes);
+                        if !m.server_closed {
+                            m.to_server.extend_from_slice(&bytes);
+                            sent += len;
+                        }
+                    }
+                    5..=7 => {
+                        let mut buf = vec![0u8; len];
+                        let want = m.outcome(len);
+                        assert_eq!(n.server_read(c, &mut buf), want);
+                        if let ReadOutcome::Data(k) = want {
+                            assert_eq!(buf[..k], m.to_server[..k]);
+                            m.to_server.drain(..k);
+                            read += k;
+                        }
+                    }
+                    8..=10 => {
+                        let mut buf = vec![0u8; len];
+                        let want = m.outcome(len);
+                        assert_eq!(n.server_peek(c, &mut buf), want);
+                        if let ReadOutcome::Data(k) = want {
+                            assert_eq!(buf[..k], m.to_server[..k]);
+                            // Commit only part of the peek at times.
+                            let k = if len % 3 == 0 { k / 2 } else { k };
+                            n.server_consume(c, k);
+                            m.to_server.drain(..k);
+                            read += k;
+                        }
+                    }
+                    11..=13 => {
+                        let bytes = fill(len);
+                        assert_eq!(n.server_write(c, &bytes), len);
+                        if !m.client_closed {
+                            m.to_client.extend_from_slice(&bytes);
+                            written += len;
+                        }
+                    }
+                    14..=15 => {
+                        assert_eq!(n.client_recv(c), m.to_client);
+                        received += m.to_client.len();
+                        m.to_client.clear();
+                    }
+                    16..=17 => {
+                        assert_eq!(n.client_discard(c), m.to_client.len());
+                        received += m.to_client.len();
+                        m.to_client.clear();
+                    }
+                    18 => {
+                        n.client_close(c);
+                        m.client_closed = true;
+                    }
+                    _ => {
+                        n.server_close(c);
+                        m.server_closed = true;
+                    }
+                }
+                assert_eq!(n.server_pending(c), m.to_server.len());
+                assert_eq!(n.server_readable(c), !m.to_server.is_empty() || m.client_closed);
+                assert_eq!(n.server_closed(c), m.server_closed);
+            }
+            // Conservation: everything accepted was read, or is still queued.
+            assert_eq!(sent, read + m.to_server.len());
+            let mut rest = vec![0u8; m.to_server.len()];
+            if !rest.is_empty() {
+                assert_eq!(n.server_read(c, &mut rest), ReadOutcome::Data(rest.len()));
+                assert_eq!(rest, m.to_server);
+            }
+            assert_eq!(written, received + n.client_discard(c));
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@ use crate::fs::Vfs;
 use crate::net::{Net, ReadOutcome};
 use crate::process::{OfdId, Pid, Process, Vma, WaitReason};
 use bastion_ir::sysno;
-use bastion_vm::{CostModel, MemIo};
+use bastion_vm::{CostModel, MemIo, OutOfBounds};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// What an open file descriptor refers to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -211,6 +212,32 @@ impl Kernel {
         }
         let ofd = self.alloc_ofd(OfdKind::Conn(cid));
         p.fds.alloc(ofd) as u64
+    }
+
+    /// Reads up to `len` queued bytes of connection `cid` into guest
+    /// memory at `buf`. Peek-validate-consume: the stream bytes are only
+    /// dequeued once the destination mapping accepted them, so an EFAULT
+    /// leaves the data readable by a later, correctly-mapped read. The
+    /// peek buffer holds only what is queued, never the full request.
+    /// Shared by the dispatcher and the scheduler's wake-up path.
+    ///
+    /// # Errors
+    /// Fails, consuming nothing, if the destination is unmapped.
+    pub(crate) fn read_conn(
+        &mut self,
+        p: &mut Process,
+        cid: crate::net::ConnId,
+        buf: u64,
+        len: u64,
+    ) -> Result<ReadOutcome, OutOfBounds> {
+        let want = (len.min(1 << 20) as usize).min(self.net.server_pending(cid));
+        let mut tmp = vec![0u8; want];
+        let out = self.net.server_peek(cid, &mut tmp);
+        if let ReadOutcome::Data(n) = out {
+            p.machine.mem.write(buf, &tmp[..n])?;
+            self.net.server_consume(cid, n);
+        }
+        Ok(out)
     }
 
     /// Dispatches one syscall for process `p` at virtual time `now`.
@@ -412,9 +439,8 @@ impl Kernel {
                     return SysOutcome::Done(err(errno::ENOENT));
                 };
                 let start = (offset as usize).min(f.data.len());
-                let n = ((len as usize).min(f.data.len() - start)).min(f.data.len());
-                let chunk = f.data[start..start + n].to_vec();
-                if p.machine.mem.write(buf, &chunk).is_err() {
+                let n = (len as usize).min(f.data.len() - start);
+                if p.machine.mem.write(buf, &f.data[start..start + n]).is_err() {
                     return SysOutcome::Done(err(errno::EFAULT));
                 }
                 if let OfdKind::File { offset, .. } = &mut self.ofds[id].kind {
@@ -423,26 +449,17 @@ impl Kernel {
                 self.charge_io(n as u64);
                 SysOutcome::Done(n as u64)
             }
-            OfdKind::Conn(cid) => {
-                // Peek-validate-consume: the stream bytes are only dequeued
-                // once the destination mapping accepted them, so an EFAULT
-                // leaves the data readable by a later, correctly-mapped read.
-                let mut tmp = vec![0u8; len as usize];
-                match self.net.server_peek(cid, &mut tmp) {
-                    ReadOutcome::Data(n) => {
-                        if p.machine.mem.write(buf, &tmp[..n]).is_err() {
-                            return SysOutcome::Done(err(errno::EFAULT));
-                        }
-                        self.net.server_consume(cid, n);
-                        self.charge_io(n as u64);
-                        SysOutcome::Done(n as u64)
-                    }
-                    ReadOutcome::Eof => SysOutcome::Done(0),
-                    ReadOutcome::WouldBlock => {
-                        SysOutcome::Block(WaitReason::ConnRead { cid, buf, len })
-                    }
+            OfdKind::Conn(cid) => match self.read_conn(p, cid, buf, len) {
+                Ok(ReadOutcome::Data(n)) => {
+                    self.charge_io(n as u64);
+                    SysOutcome::Done(n as u64)
                 }
-            }
+                Ok(ReadOutcome::Eof) => SysOutcome::Done(0),
+                Ok(ReadOutcome::WouldBlock) => {
+                    SysOutcome::Block(WaitReason::ConnRead { cid, buf, len })
+                }
+                Err(_) => SysOutcome::Done(err(errno::EFAULT)),
+            },
             _ => SysOutcome::Done(err(errno::EINVAL)),
         }
     }
@@ -452,16 +469,28 @@ impl Kernel {
             return SysOutcome::Done(err(errno::EBADF));
         };
         let len = len.min(1 << 20);
-        let mut data = vec![0u8; len as usize];
-        if p.machine.mem.read(buf, &mut data).is_err() {
+        // Console and socket sinks take the guest bytes page by page, with
+        // no staging buffer. The mapping check runs over the whole range
+        // before any byte moves, so EFAULT precedes every other outcome
+        // and the I/O charge, whatever the descriptor.
+        let mem = &p.machine.mem;
+        let mapped = match self.ofds[id].kind {
+            OfdKind::Stdout | OfdKind::Stderr => mem
+                .read_chunks(buf, len, |c| self.console.extend_from_slice(c))
+                .is_ok(),
+            OfdKind::Conn(cid) => mem
+                .read_chunks(buf, len, |c| {
+                    self.net.server_write(cid, c);
+                })
+                .is_ok(),
+            _ => mem.is_mapped(buf, len),
+        };
+        if !mapped {
             return SysOutcome::Done(err(errno::EFAULT));
         }
         self.charge_io(len);
         match self.ofds[id].kind.clone() {
-            OfdKind::Stdout | OfdKind::Stderr => {
-                self.console.extend_from_slice(&data);
-                SysOutcome::Done(len)
-            }
+            OfdKind::Stdout | OfdKind::Stderr | OfdKind::Conn(_) => SysOutcome::Done(len),
             OfdKind::File {
                 path,
                 offset,
@@ -473,19 +502,16 @@ impl Kernel {
                 let Some(f) = self.vfs.file_mut(&path) else {
                     return SysOutcome::Done(err(errno::ENOENT));
                 };
-                let end = offset as usize + data.len();
-                if f.data.len() < end {
-                    f.data.resize(end, 0);
+                let (start, end) = (offset as usize, offset as usize + len as usize);
+                let data = Arc::make_mut(&mut f.data);
+                if data.len() < end {
+                    data.resize(end, 0);
                 }
-                f.data[offset as usize..end].copy_from_slice(&data);
+                p.machine.mem.read_unchecked(buf, &mut data[start..end]);
                 if let OfdKind::File { offset, .. } = &mut self.ofds[id].kind {
-                    *offset += data.len() as u64;
+                    *offset += len;
                 }
                 SysOutcome::Done(len)
-            }
-            OfdKind::Conn(cid) => {
-                let n = self.net.server_write(cid, &data);
-                SysOutcome::Done(n as u64)
             }
             _ => SysOutcome::Done(err(errno::EINVAL)),
         }
@@ -506,7 +532,9 @@ impl Kernel {
         }
         if trunc {
             if let Some(f) = self.vfs.file_mut(&path) {
-                f.data.clear();
+                // A fresh empty buffer: bytes shared with a snapshot or
+                // another world are released, never copied.
+                f.data = Arc::default();
             }
         }
         let ofd = self.alloc_ofd(OfdKind::File {
@@ -644,13 +672,16 @@ impl Kernel {
         };
         let start = (offset as usize).min(f.data.len());
         let n = (count as usize).min(f.data.len() - start);
-        let chunk = f.data[start..start + n].to_vec();
+        // Another handle on the shared bytes (not a copy of the range), so
+        // the VFS borrow ends before `charge_io`.
+        let data = Arc::clone(&f.data);
+        let chunk = &data[start..start + n];
         self.charge_io(n as u64);
         match self.ofds[out_id].kind {
             OfdKind::Conn(cid) => {
-                self.net.server_write(cid, &chunk);
+                self.net.server_write(cid, chunk);
             }
-            OfdKind::Stdout | OfdKind::Stderr => self.console.extend_from_slice(&chunk),
+            OfdKind::Stdout | OfdKind::Stderr => self.console.extend_from_slice(chunk),
             _ => return SysOutcome::Done(err(errno::EINVAL)),
         }
         if let OfdKind::File { offset, .. } = &mut self.ofds[in_id].kind {
@@ -710,7 +741,7 @@ impl Kernel {
         if let OfdKind::File { path, .. } = &self.ofds[id].kind {
             let path = path.clone();
             if let Some(f) = self.vfs.file_mut(&path) {
-                f.data.resize(len as usize, 0);
+                Arc::make_mut(&mut f.data).resize(len as usize, 0);
                 return SysOutcome::Done(0);
             }
         }

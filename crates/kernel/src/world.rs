@@ -679,24 +679,12 @@ impl World {
                 }
                 WaitReason::ConnRead { cid, buf, len } => {
                     if self.kernel.net.server_readable(cid) {
-                        // Peek-validate-consume: only dequeue the stream
-                        // bytes once the destination mapping accepted them.
-                        // An unmapped buffer returns EFAULT but leaves the
-                        // data queued for a later, correctly-mapped read.
-                        let mut tmp = vec![0u8; len.min(1 << 20) as usize];
-                        let ret = match self.kernel.net.server_peek(cid, &mut tmp) {
-                            ReadOutcome::Data(n) => {
-                                use bastion_vm::MemIo;
-                                match self.procs[idx].machine.mem.write(buf, &tmp[..n]) {
-                                    Ok(()) => {
-                                        self.kernel.net.server_consume(cid, n);
-                                        n as u64
-                                    }
-                                    Err(_) => crate::errno::err(crate::errno::EFAULT),
-                                }
-                            }
-                            ReadOutcome::Eof => 0,
-                            ReadOutcome::WouldBlock => continue,
+                        let p = &mut self.procs[idx];
+                        let ret = match self.kernel.read_conn(p, cid, buf, len) {
+                            Ok(ReadOutcome::Data(n)) => n as u64,
+                            Ok(ReadOutcome::Eof) => 0,
+                            Ok(ReadOutcome::WouldBlock) => continue,
+                            Err(_) => crate::errno::err(crate::errno::EFAULT),
                         };
                         self.procs[idx].machine.complete_syscall(ret);
                         self.procs[idx].state = ProcState::Runnable;
@@ -751,6 +739,12 @@ impl World {
         self.kernel.net.client_recv(c)
     }
 
+    /// Drains server→client bytes from an external connection and returns
+    /// only their count (for clients that never read the payload).
+    pub fn net_discard(&mut self, c: ExtConnId) -> usize {
+        self.kernel.net.client_discard(c)
+    }
+
     /// Closes the client side of an external connection.
     pub fn net_close(&mut self, c: ExtConnId) {
         self.kernel.net.client_close(c);
@@ -771,9 +765,10 @@ impl World {
 /// snapshot and resuming reproduces a cold run bit-for-bit from the capture
 /// point — the basis of warm-forked chaos cells (DESIGN.md §6i).
 ///
-/// Memory is the only large state: pages are shared `Arc`s, so a snapshot
-/// costs one page-table clone and each restored world copies only the pages
-/// it subsequently writes.
+/// The large state is shared, not copied: memory pages and VFS file
+/// contents are both `Arc`s, so a snapshot costs one page-table clone plus
+/// one file-map clone, and each restored world copies only the pages and
+/// files it subsequently writes.
 pub struct WorldSnapshot {
     kernel: Kernel,
     procs: Vec<Process>,

@@ -7,11 +7,16 @@ use bastion_vm::{CostModel, Image, Machine};
 use std::sync::Arc;
 
 fn run(src: &str, setup: impl FnOnce(&mut World)) -> (World, i64) {
+    let mut world = World::new(CostModel::default());
+    setup(&mut world);
+    run_in(world, src)
+}
+
+/// Runs `src` to completion in an already-prepared world.
+fn run_in(mut world: World, src: &str) -> (World, i64) {
     let module = compile_program("t", &[src]).unwrap();
     let image = Arc::new(Image::load(module).unwrap());
     let machine = Machine::new(image, CostModel::default());
-    let mut world = World::new(CostModel::default());
-    setup(&mut world);
     let pid = world.spawn(machine);
     assert_eq!(world.run(200_000_000), RunStatus::AllExited);
     let Some(ExitReason::Exited(code)) = world.proc(pid).unwrap().exit.clone() else {
@@ -44,7 +49,7 @@ fn open_create_write_read_back() {
     );
     assert_eq!(code, 0);
     assert_eq!(
-        world.kernel.vfs.file("/data/new.txt").unwrap().data,
+        *world.kernel.vfs.file("/data/new.txt").unwrap().data,
         b"persisted"
     );
 }
@@ -130,7 +135,7 @@ fn dup_shares_the_description() {
         |_| {},
     );
     assert_eq!(code, 0);
-    assert_eq!(world.kernel.vfs.file("/log").unwrap().data, b"abcdef");
+    assert_eq!(*world.kernel.vfs.file("/log").unwrap().data, b"abcdef");
 }
 
 #[test]
@@ -172,7 +177,50 @@ fn ftruncate_resizes() {
         |w| w.kernel.vfs.put_file("/f", b"abcdefghij".to_vec(), 0o644),
     );
     assert_eq!(code, 4);
-    assert_eq!(world.kernel.vfs.file("/f").unwrap().data, b"abcd");
+    assert_eq!(*world.kernel.vfs.file("/f").unwrap().data, b"abcd");
+}
+
+#[test]
+fn file_writes_after_restore_copy_on_write() {
+    // Every mutating path -- an extending write, ftruncate and an O_TRUNC
+    // open -- runs in a world restored from a snapshot. Each must change
+    // only its own world's copy of the file.
+    let mut base = World::new(CostModel::default());
+    base.kernel.vfs.put_file("/f", b"original".to_vec(), 0o644);
+    let snap = base.snapshot();
+    let bytes = |w: &World| Arc::clone(&w.kernel.vfs.file("/f").unwrap().data);
+    // Restoring shares the bytes instead of copying them.
+    assert!(Arc::ptr_eq(&bytes(&base), &bytes(&World::restore(&snap))));
+    let cases: [(&str, &[u8]); 3] = [
+        (
+            r#"long main() {
+                long fd = open("/f", 2, 0);          // O_RDWR
+                lseek(fd, 0, 2);                     // SEEK_END
+                return write(fd, "+more", 5) != 5;
+            }"#,
+            b"original+more",
+        ),
+        (
+            r#"long main() {
+                long fd = open("/f", 1, 0);
+                return ftruncate(fd, 4) != 0;
+            }"#,
+            b"orig",
+        ),
+        (
+            r#"long main() {
+                return open("/f", 0x201, 0) < 0;     // O_WRONLY|O_TRUNC
+            }"#,
+            b"",
+        ),
+    ];
+    for (src, want) in cases {
+        let (world, code) = run_in(World::restore(&snap), src);
+        assert_eq!(code, 0, "{src}");
+        assert_eq!(*bytes(&world), want, "{src}");
+        assert_eq!(*bytes(&World::restore(&snap)), b"original", "{src}");
+        assert_eq!(*bytes(&base), b"original", "{src}");
+    }
 }
 
 #[test]

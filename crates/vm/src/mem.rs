@@ -277,6 +277,36 @@ impl Memory {
         }
     }
 
+    /// Checked in-place read: hands `[addr, addr+len)` to `f` one page-sized
+    /// slice at a time, in address order, without an intermediate buffer
+    /// (never-written pages read as zeros). The whole range is checked
+    /// with [`Memory::is_mapped`] before `f` first runs, so a fault leaves
+    /// the sink untouched.
+    ///
+    /// # Errors
+    /// Fails, without calling `f`, if any byte is unmapped.
+    pub fn read_chunks(
+        &self,
+        addr: u64,
+        len: u64,
+        mut f: impl FnMut(&[u8]),
+    ) -> Result<(), OutOfBounds> {
+        static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        if !self.is_mapped(addr, len) {
+            return Err(OutOfBounds { addr, write: false });
+        }
+        let mut done = 0u64;
+        while done < len {
+            let a = addr.wrapping_add(done);
+            let (page, off) = (a / PAGE_SIZE, (a % PAGE_SIZE) as usize);
+            let n = (len - done).min(PAGE_SIZE - off as u64) as usize;
+            let bytes = self.pages.get(&page).map_or(&ZERO_PAGE, |p| &**p);
+            f(&bytes[off..off + n]);
+            done += n as u64;
+        }
+        Ok(())
+    }
+
     /// Raw write that ignores the region map (attacker primitive).
     /// Copies page-sized chunks, one page-table lookup per page touched.
     pub fn write_unchecked(&mut self, addr: u64, buf: &[u8]) {
@@ -368,6 +398,36 @@ mod tests {
         let mut back = vec![0u8; 256];
         m.read(addr, &mut back).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn read_chunks_matches_read_and_checks_first() {
+        let mut m = Memory::new();
+        m.map_region(0x1000, 3 * PAGE_SIZE);
+        let data: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        m.write(0x1000 + 100, &data).unwrap();
+        // Spans written pages and a never-written (zero) page.
+        let (addr, len) = (0x1000 + 50, 2 * PAGE_SIZE + 200);
+        let mut want = vec![0u8; len as usize];
+        m.read(addr, &mut want).unwrap();
+        let mut got = Vec::new();
+        let mut calls = 0;
+        m.read_chunks(addr, len, |c| {
+            assert!(c.len() <= PAGE_SIZE as usize);
+            got.extend_from_slice(c);
+            calls += 1;
+        })
+        .unwrap();
+        assert_eq!(got, want);
+        assert_eq!(calls, 3);
+        // A range running off the mapping faults before any chunk is seen.
+        let mut touched = false;
+        assert!(m
+            .read_chunks(0x1000, 4 * PAGE_SIZE, |_| touched = true)
+            .is_err());
+        assert!(!touched);
+        assert!(m.read_chunks(0x9000, 0, |_| touched = true).is_ok());
+        assert!(!touched);
     }
 
     #[test]
