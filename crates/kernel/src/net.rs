@@ -136,41 +136,44 @@ impl Net {
 
     /// Server-side read into `buf`.
     pub fn server_read(&mut self, cid: ConnId, buf: &mut [u8]) -> ReadOutcome {
-        let out = self.server_peek(cid, buf);
-        if let ReadOutcome::Data(n) = out {
-            self.conns[cid].to_server.drain(..n);
-        }
+        let Ok(out) = self.server_read_with(cid, buf.len(), |head, tail| {
+            let (h, t) = buf.split_at_mut(head.len());
+            h.copy_from_slice(head);
+            t[..tail.len()].copy_from_slice(tail);
+            Ok::<(), std::convert::Infallible>(())
+        });
         out
     }
 
-    /// Server-side peek into `buf`: like [`Net::server_read`] but leaves
-    /// the bytes queued. Callers that must validate a destination (a guest
-    /// buffer mapping) before committing the read peek first and
-    /// [`Net::server_consume`] only once delivery is guaranteed, so a
-    /// faulting destination does not silently drop stream bytes.
-    pub fn server_peek(&self, cid: ConnId, buf: &mut [u8]) -> ReadOutcome {
-        let c = &self.conns[cid];
+    /// Server-side read straight from the queue: hands up to `max` queued
+    /// bytes to `sink` as the ring's two slices, in stream order, and
+    /// dequeues them only if `sink` accepts them. A sink that validates a
+    /// destination (a guest buffer mapping) first and fails leaves the
+    /// stream untouched, so a faulting read drops no bytes.
+    ///
+    /// # Errors
+    /// Returns `sink`'s error, consuming nothing.
+    pub fn server_read_with<E>(
+        &mut self,
+        cid: ConnId,
+        max: usize,
+        sink: impl FnOnce(&[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<ReadOutcome, E> {
+        let c = &mut self.conns[cid];
         if c.to_server.is_empty() {
-            return if c.client_closed {
+            return Ok(if c.client_closed {
                 ReadOutcome::Eof
             } else {
                 ReadOutcome::WouldBlock
-            };
+            });
         }
-        ReadOutcome::Data(copy_front(&c.to_server, buf))
-    }
-
-    /// Bytes queued for the server to read.
-    pub(crate) fn server_pending(&self, cid: ConnId) -> usize {
-        self.conns[cid].to_server.len()
-    }
-
-    /// Discards the first `n` queued server-side bytes (pairs with
-    /// [`Net::server_peek`] to commit a peeked read).
-    pub fn server_consume(&mut self, cid: ConnId, n: usize) {
-        let c = &mut self.conns[cid];
-        let n = n.min(c.to_server.len());
-        c.to_server.drain(..n);
+        let q = &mut c.to_server;
+        let n = max.min(q.len());
+        let (head, tail) = q.as_slices();
+        let h = n.min(head.len());
+        sink(&head[..h], &tail[..n - h])?;
+        q.drain(..n);
+        Ok(ReadOutcome::Data(n))
     }
 
     /// Server-side write (always succeeds; queues are unbounded).
@@ -255,17 +258,6 @@ impl Net {
     }
 }
 
-/// Copies the first `min(buf.len(), q.len())` queued bytes into `buf`
-/// (both halves of the ring, slice by slice) and returns the count.
-fn copy_front(q: &VecDeque<u8>, buf: &mut [u8]) -> usize {
-    let n = buf.len().min(q.len());
-    let (head, tail) = q.as_slices();
-    let h = n.min(head.len());
-    buf[..h].copy_from_slice(&head[..h]);
-    buf[h..n].copy_from_slice(&tail[..n - h]);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,29 +305,31 @@ mod tests {
     }
 
     #[test]
-    fn peek_leaves_bytes_queued_until_consumed() {
+    fn failed_sink_leaves_bytes_queued() {
         let mut n = Net::new();
         let l = n.listen(80, 4).unwrap();
         let c = n.external_connect(80).unwrap();
         n.accept(l).unwrap();
         n.client_send(c, b"GET /index");
-        let mut buf = [0u8; 5];
-        // Peeking any number of times returns the same prefix.
-        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Data(5));
-        assert_eq!(&buf, b"GET /");
-        assert_eq!(n.server_peek(c, &mut buf), ReadOutcome::Data(5));
-        assert_eq!(&buf, b"GET /");
-        // Consuming commits the peeked prefix; the rest stays readable.
-        n.server_consume(c, 5);
+        // A sink that rejects the bytes consumes nothing, however often.
+        for _ in 0..2 {
+            let out = n.server_read_with(c, 5, |head, tail| {
+                assert_eq!([head, tail].concat(), b"GET /");
+                Err(())
+            });
+            assert_eq!(out, Err(()));
+        }
+        // An accepting sink commits exactly the prefix it was handed.
+        let out = n.server_read_with(c, 5, |_, _| Ok::<(), ()>(()));
+        assert_eq!(out, Ok(ReadOutcome::Data(5)));
         let mut rest = [0u8; 8];
         assert_eq!(n.server_read(c, &mut rest), ReadOutcome::Data(5));
         assert_eq!(&rest[..5], b"index");
-        // Peek mirrors read's EOF/WouldBlock outcomes.
-        assert_eq!(n.server_peek(c, &mut rest), ReadOutcome::WouldBlock);
+        // The sink never runs on an empty queue: WouldBlock, then EOF.
+        let never = |_: &[u8], _: &[u8]| -> Result<(), ()> { panic!("sink ran") };
+        assert_eq!(n.server_read_with(c, 8, never), Ok(ReadOutcome::WouldBlock));
         n.client_close(c);
-        assert_eq!(n.server_peek(c, &mut rest), ReadOutcome::Eof);
-        // Over-long consume saturates instead of panicking.
-        n.server_consume(c, 99);
+        assert_eq!(n.server_read_with(c, 8, never), Ok(ReadOutcome::Eof));
     }
 
     #[test]
@@ -426,16 +420,25 @@ mod tests {
                         }
                     }
                     8..=10 => {
-                        let mut buf = vec![0u8; len];
+                        // Reject the bytes at times: nothing may be consumed.
+                        let accept = len % 3 != 0;
                         let want = m.outcome(len);
-                        assert_eq!(n.server_peek(c, &mut buf), want);
+                        let mut seen = None;
+                        let out = n.server_read_with(c, len, |head, tail| {
+                            seen = Some([head, tail].concat());
+                            if accept { Ok(()) } else { Err(()) }
+                        });
                         if let ReadOutcome::Data(k) = want {
-                            assert_eq!(buf[..k], m.to_server[..k]);
-                            // Commit only part of the peek at times.
-                            let k = if len % 3 == 0 { k / 2 } else { k };
-                            n.server_consume(c, k);
-                            m.to_server.drain(..k);
-                            read += k;
+                            assert_eq!(seen.as_deref(), Some(&m.to_server[..k]));
+                            if accept {
+                                assert_eq!(out, Ok(want));
+                                m.to_server.drain(..k);
+                                read += k;
+                            } else {
+                                assert_eq!(out, Err(()));
+                            }
+                        } else {
+                            assert_eq!((out, seen), (Ok(want), None));
                         }
                     }
                     11..=13 => {
@@ -465,7 +468,7 @@ mod tests {
                         m.server_closed = true;
                     }
                 }
-                assert_eq!(n.server_pending(c), m.to_server.len());
+                assert_eq!(n.conns[c].to_server.len(), m.to_server.len());
                 assert_eq!(n.server_readable(c), !m.to_server.is_empty() || m.client_closed);
                 assert_eq!(n.server_closed(c), m.server_closed);
             }

@@ -215,10 +215,10 @@ impl Kernel {
     }
 
     /// Reads up to `len` queued bytes of connection `cid` into guest
-    /// memory at `buf`. Peek-validate-consume: the stream bytes are only
-    /// dequeued once the destination mapping accepted them, so an EFAULT
-    /// leaves the data readable by a later, correctly-mapped read. The
-    /// peek buffer holds only what is queued, never the full request.
+    /// memory at `buf`, straight from the socket queue. Check-write-drain:
+    /// the whole destination is checked with `is_mapped` before any byte is
+    /// written, and the stream bytes are only dequeued once written, so an
+    /// EFAULT leaves the data readable by a later, correctly-mapped read.
     /// Shared by the dispatcher and the scheduler's wake-up path.
     ///
     /// # Errors
@@ -230,14 +230,19 @@ impl Kernel {
         buf: u64,
         len: u64,
     ) -> Result<ReadOutcome, OutOfBounds> {
-        let want = (len.min(1 << 20) as usize).min(self.net.server_pending(cid));
-        let mut tmp = vec![0u8; want];
-        let out = self.net.server_peek(cid, &mut tmp);
-        if let ReadOutcome::Data(n) = out {
-            p.machine.mem.write(buf, &tmp[..n])?;
-            self.net.server_consume(cid, n);
-        }
-        Ok(out)
+        let mem = &mut p.machine.mem;
+        self.net
+            .server_read_with(cid, len.min(1 << 20) as usize, |head, tail| {
+                if !mem.is_mapped(buf, (head.len() + tail.len()) as u64) {
+                    return Err(OutOfBounds {
+                        addr: buf,
+                        write: true,
+                    });
+                }
+                mem.write_unchecked(buf, head);
+                mem.write_unchecked(buf + head.len() as u64, tail);
+                Ok(())
+            })
     }
 
     /// Dispatches one syscall for process `p` at virtual time `now`.

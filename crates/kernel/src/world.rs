@@ -638,6 +638,7 @@ impl World {
         let child_pid = self.next_pid;
         self.next_pid += 1;
         let parent = &mut self.procs[idx];
+        parent.machine.mem.share();
         let mut child_machine = parent.machine.clone();
         parent.machine.complete_syscall(u64::from(child_pid));
         child_machine.complete_syscall(0);
@@ -765,10 +766,11 @@ impl World {
 /// snapshot and resuming reproduces a cold run bit-for-bit from the capture
 /// point — the basis of warm-forked chaos cells (DESIGN.md §6i).
 ///
-/// The large state is shared, not copied: memory pages and VFS file
-/// contents are both `Arc`s, so a snapshot costs one page-table clone plus
-/// one file-map clone, and each restored world copies only the pages and
-/// files it subsequently writes.
+/// The large state is shared, not copied: the live world's memory pages
+/// are made shared ([`bastion_vm::Memory::share`]) and VFS file contents
+/// are `Arc`s, so a snapshot costs one page-table clone plus one file-map
+/// clone, and each restored world copies only the pages and files it
+/// subsequently writes.
 pub struct WorldSnapshot {
     kernel: Kernel,
     procs: Vec<Process>,
@@ -820,7 +822,8 @@ impl World {
     /// pruned from the *live* page tables first (snapshot hygiene: a page
     /// dirtied and later zeroed reads identically to one never touched), so
     /// the checkpoint and the original agree on resident pages and the
-    /// snapshot pins no dead memory.
+    /// snapshot pins no dead memory. The remaining pages are then made
+    /// shared, so the clone copies no page bytes.
     ///
     /// # Panics
     /// Panics if an attached tracer does not implement
@@ -830,6 +833,7 @@ impl World {
     pub fn snapshot(&mut self) -> WorldSnapshot {
         for p in &mut self.procs {
             p.machine.mem.prune_zero_pages();
+            p.machine.mem.share();
         }
         let tracer = self.tracer.as_ref().map(|t| {
             t.snapshot_box()

@@ -17,12 +17,18 @@
 //!   entry units, per-call return addresses, `FrameAddr` fp-relative
 //!   offsets, and `ctx_bind_*` callsite addresses are all pre-resolved;
 //! * branch targets become flat unit indices, so taken branches are a
-//!   single index assignment.
+//!   single index assignment;
+//! * each `FrameAddr tmp` directly followed by a `Load`/`Store` through
+//!   `tmp` (MiniC's local-variable idiom) becomes one superinstruction,
+//!   [`DecodedInst::FrameLoad`] or [`DecodedInst::FrameStore`], that runs
+//!   both units in one dispatch.
 //!
 //! Decoding is layout-faithful by construction: unit `i` of the stream is
 //! exactly the instruction at code address `base + i * INST_SIZE`, so
 //! ROP/JOP control transfers into the middle of functions land on the same
-//! instruction the legacy path would execute.
+//! instruction the legacy path would execute. A superinstruction replaces
+//! only its first unit; the second stays in the stream as the plain
+//! `Load`/`Store`, so a transfer that lands on it runs just that half.
 
 use crate::image::FrameInfo;
 use bastion_ir::layout::INST_SIZE;
@@ -85,6 +91,22 @@ pub enum DecodedInst {
     /// `dst = fp - neg_off` — slot address with the frame geometry folded
     /// in (`neg_off = frame_size - slot_offset`).
     FrameAddr { dst: Reg, neg_off: u64 },
+    /// `FrameAddr tmp` fused with the `Load dst, [tmp]` in the next unit:
+    /// `tmp = fp - neg_off; dst = *(tmp)`. Retires two instructions.
+    FrameLoad {
+        tmp: Reg,
+        neg_off: u64,
+        dst: Reg,
+        width: Width,
+    },
+    /// `FrameAddr tmp` fused with the `Store [tmp], src` in the next unit:
+    /// `tmp = fp - neg_off; *(tmp) = src`. Retires two instructions.
+    FrameStore {
+        tmp: Reg,
+        neg_off: u64,
+        src: Operand,
+        width: Width,
+    },
     /// `dst = addr` — a pre-resolved `GlobalAddr` or `FuncAddr`.
     LoadAddr { dst: Reg, addr: u64 },
     /// `dst = base + off` — `FieldAddr` with the struct offset pre-summed.
@@ -351,6 +373,7 @@ impl DecodedProgram {
             }
         }
         units.resize(total, DecodedInst::Pad);
+        fuse_frame_accesses(&mut units);
         DecodedProgram {
             base,
             units,
@@ -408,6 +431,42 @@ impl DecodedProgram {
     #[inline]
     pub fn arg_ops(&self, s: ArgSlice) -> &[Operand] {
         &self.args[s.start as usize..(s.start + s.len) as usize]
+    }
+}
+
+/// Rewrites each `FrameAddr tmp` whose next unit loads or stores through
+/// `tmp` into the fused [`DecodedInst::FrameLoad`]/[`DecodedInst::FrameStore`].
+/// The next unit is left as it is: control can still land on it directly.
+/// A `FrameAddr` is never a block's last unit (a terminator follows), so
+/// the pair always lies in one block.
+fn fuse_frame_accesses(units: &mut [DecodedInst]) {
+    for i in 1..units.len() {
+        let DecodedInst::FrameAddr { dst: tmp, neg_off } = units[i - 1] else {
+            continue;
+        };
+        units[i - 1] = match units[i] {
+            DecodedInst::Load {
+                dst,
+                addr: Operand::Reg(r),
+                width,
+            } if r == tmp => DecodedInst::FrameLoad {
+                tmp,
+                neg_off,
+                dst,
+                width,
+            },
+            DecodedInst::Store {
+                addr: Operand::Reg(r),
+                src,
+                width,
+            } if r == tmp => DecodedInst::FrameStore {
+                tmp,
+                neg_off,
+                src,
+                width,
+            },
+            _ => continue,
+        };
     }
 }
 
@@ -473,6 +532,29 @@ mod tests {
         }
         // Three 16-byte-aligned functions with small bodies: at least one gap.
         assert!(pads > 0);
+    }
+
+    #[test]
+    fn frame_slot_accesses_are_fused_and_the_second_unit_kept() {
+        let img = decoded();
+        let prog = &img.decoded;
+        let callee = img.module.func_by_name("callee").unwrap();
+        let entry = img.layout.unit_of(InstLoc {
+            func: callee,
+            block: bastion_ir::BlockId(0),
+            inst: 0,
+        }) as usize;
+        // callee: `a = FrameAddr x; v = Load [a]; ret v`.
+        let DecodedInst::FrameLoad { tmp, dst, .. } = prog.inst(entry) else {
+            panic!("expected FrameLoad, got {:?}", prog.inst(entry));
+        };
+        assert_ne!(tmp, dst);
+        assert!(matches!(
+            prog.inst(entry + 1),
+            DecodedInst::Load { addr: Operand::Reg(r), .. } if r == tmp
+        ));
+        assert_eq!(prog.loc_at(entry).inst, 0);
+        assert_eq!(prog.loc_at(entry + 1).inst, 1);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::decode::DecodedInst;
 use crate::machine::{Fault, Machine};
-use crate::mem::MemIo;
+use crate::mem::{MemIo, Memory, OutOfBounds};
 use crate::shadow::ShadowTable;
 use bastion_ir::{
     BinOp, Callee, CmpOp, CodeAddr, Inst, IntrinsicOp, Operand, Terminator, Width, CALL_SIZE,
@@ -215,34 +215,18 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
             DecodedInst::Load { dst, addr, width } => {
                 let Machine { frames, mem, .. } = &mut *m;
                 let fr = frames.last_mut().expect("no active frame");
-                let a = ev(&fr.regs, addr);
-                let v = match width {
-                    Width::W8 => {
-                        let mut b = [0u8; 1];
-                        match mem.read(a, &mut b) {
-                            Ok(()) => u64::from(b[0]),
-                            Err(e) => exit_at!(idx, Event::Fault(Fault::Mem(e))),
-                        }
-                    }
-                    Width::W64 => match mem.read_u64(a) {
-                        Ok(v) => v,
-                        Err(e) => exit_at!(idx, Event::Fault(Fault::Mem(e))),
-                    },
-                };
-                fr.regs[dst.index()] = v;
+                match load(mem, ev(&fr.regs, addr), width) {
+                    Ok(v) => fr.regs[dst.index()] = v,
+                    Err(e) => exit_at!(idx, Event::Fault(Fault::Mem(e))),
+                }
                 cycles += cost.mem;
                 idx += 1;
             }
             DecodedInst::Store { addr, src, width } => {
                 let Machine { frames, mem, .. } = &mut *m;
                 let fr = frames.last().expect("no active frame");
-                let a = ev(&fr.regs, addr);
-                let v = ev(&fr.regs, src);
-                let res = match width {
-                    Width::W8 => mem.write(a, &[v as u8]),
-                    Width::W64 => mem.write_u64(a, v),
-                };
-                if let Err(e) = res {
+                let (a, v) = (ev(&fr.regs, addr), ev(&fr.regs, src));
+                if let Err(e) = store(mem, a, v, width) {
                     exit_at!(idx, Event::Fault(Fault::Mem(e)));
                 }
                 cycles += cost.mem;
@@ -252,6 +236,56 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
                 let a = m.fp - neg_off;
                 m.frames.last_mut().expect("no active frame").regs[dst.index()] = a;
                 cycles += cost.inst;
+                idx += 1;
+            }
+            // A superinstruction retires its two units exactly as two
+            // dispatches would: the `FrameAddr` half first (register write,
+            // `inst` charge), then, budget permitting, the memory half at
+            // the next unit, which on a fault is the reported `pc` and is
+            // not charged. With one step left it stops between the halves.
+            DecodedInst::FrameLoad {
+                tmp,
+                neg_off,
+                dst,
+                width,
+            } => {
+                let a = m.fp - neg_off;
+                let Machine { frames, mem, .. } = &mut *m;
+                let fr = frames.last_mut().expect("no active frame");
+                fr.regs[tmp.index()] = a;
+                cycles += cost.inst;
+                idx += 1;
+                if steps == max_steps {
+                    break;
+                }
+                steps += 1;
+                match load(mem, a, width) {
+                    Ok(v) => fr.regs[dst.index()] = v,
+                    Err(e) => exit_at!(idx, Event::Fault(Fault::Mem(e))),
+                }
+                cycles += cost.mem;
+                idx += 1;
+            }
+            DecodedInst::FrameStore {
+                tmp,
+                neg_off,
+                src,
+                width,
+            } => {
+                let a = m.fp - neg_off;
+                let Machine { frames, mem, .. } = &mut *m;
+                let fr = frames.last_mut().expect("no active frame");
+                fr.regs[tmp.index()] = a;
+                cycles += cost.inst;
+                idx += 1;
+                if steps == max_steps {
+                    break;
+                }
+                steps += 1;
+                if let Err(e) = store(mem, a, ev(&fr.regs, src), width) {
+                    exit_at!(idx, Event::Fault(Fault::Mem(e)));
+                }
+                cycles += cost.mem;
                 idx += 1;
             }
             DecodedInst::LoadAddr { dst, addr } => {
@@ -423,6 +457,27 @@ pub fn run_bounded(m: &mut Machine, max_steps: u64) -> (u64, Option<Event>) {
     m.cycles = cycles;
     bastion_obs::counter_add("vm.steps", steps);
     (steps, None)
+}
+
+/// A `width`-wide load from checked memory, zero-extended.
+#[inline(always)]
+fn load(mem: &Memory, addr: u64, width: Width) -> Result<u64, OutOfBounds> {
+    match width {
+        Width::W8 => {
+            let mut b = [0u8; 1];
+            mem.read(addr, &mut b).map(|()| u64::from(b[0]))
+        }
+        Width::W64 => mem.read_u64(addr),
+    }
+}
+
+/// A `width`-wide store of `v` (truncated) to checked memory.
+#[inline(always)]
+fn store(mem: &mut Memory, addr: u64, v: u64, width: Width) -> Result<(), OutOfBounds> {
+    match width {
+        Width::W8 => mem.write(addr, &[v as u8]),
+        Width::W64 => mem.write_u64(addr, v),
+    }
 }
 
 fn exec_inst(m: &mut Machine, inst: &Inst) -> Event {

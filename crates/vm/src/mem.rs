@@ -40,10 +40,72 @@ impl Hasher for PageHasher {
     }
 }
 
-/// Pages are reference-counted so that a cloned `Memory` (a snapshot, or a
-/// fork child) shares every page with its source; `page_mut` breaks the
-/// sharing one page at a time on first write (copy-on-write).
-type PageMap = HashMap<u64, Arc<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHasher>>;
+/// The bytes of one page.
+type PageBytes = [u8; PAGE_SIZE as usize];
+
+/// Page number → slot in [`Memory::slots`].
+type PageIndex = HashMap<u64, u32, BuildHasherDefault<PageHasher>>;
+
+/// Entries in the direct-mapped translation cache (a power of two).
+const TLB_ENTRIES: usize = 16;
+
+/// An empty translation-cache entry: no page number reaches `u64::MAX`
+/// (page numbers are addresses divided by [`PAGE_SIZE`]).
+const TLB_EMPTY: (u64, u32) = (u64::MAX, 0);
+
+/// The backing store of one resident page. A page this `Memory` alone
+/// writes is `Owned` and written through a plain `&mut`, with no atomic on
+/// the store path. [`Memory::share`] turns owned pages into `Shared` ones
+/// so a clone (a snapshot, or a fork child) holds them too, and the first
+/// write to a shared page takes ownership back (copy-on-write). The `Arc`
+/// wraps the page's `Box` rather than its bytes, so sharing a page, and
+/// taking back one no one else holds, moves a pointer and never the 4 KiB.
+#[derive(Debug, Clone)]
+enum Page {
+    Owned(Box<PageBytes>),
+    /// Always [`PAGE_SIZE`] bytes; unsized only so that an unshared box
+    /// can be taken out of its `Arc` without a placeholder allocation.
+    Shared(Arc<Box<[u8]>>),
+}
+
+impl Page {
+    #[inline]
+    fn bytes(&self) -> &PageBytes {
+        match self {
+            Page::Owned(b) => b,
+            Page::Shared(a) => (**a).as_ref().try_into().expect("page is PAGE_SIZE bytes"),
+        }
+    }
+
+    /// The page's bytes for writing, taking ownership of a shared page
+    /// first: its box when no one else holds it, otherwise a copy.
+    #[inline]
+    fn make_mut(&mut self) -> &mut PageBytes {
+        if let Page::Shared(a) = self {
+            let owned = match Arc::get_mut(a) {
+                Some(unshared) => std::mem::take(unshared),
+                None => Box::from(&a[..]),
+            };
+            *self = Page::Owned(owned.try_into().expect("page is PAGE_SIZE bytes"));
+        }
+        match self {
+            Page::Owned(b) => b,
+            Page::Shared(_) => unreachable!("page was just made owned"),
+        }
+    }
+
+    fn into_shared(self) -> Page {
+        match self {
+            Page::Owned(b) => Page::Shared(Arc::new(b)),
+            shared @ Page::Shared(_) => shared,
+        }
+    }
+
+    /// Whether another `Memory` holds this page too.
+    fn is_shared(&self) -> bool {
+        matches!(self, Page::Shared(a) if Arc::strong_count(a) > 1)
+    }
+}
 
 /// An access outside any mapped region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,9 +167,22 @@ pub trait MemIo {
 }
 
 /// The sparse paged address space of one process.
-#[derive(Debug, Clone, Default)]
+///
+/// Resident pages live in a slot arena (`slots`) indexed by page number
+/// (`index`), behind a small direct-mapped translation cache (`tlb`), so a
+/// load or store that hits the cache costs no hash lookup. Slot indices
+/// are stable: a page keeps its slot until [`Memory::prune_zero_pages`]
+/// rebuilds the arena, and a clone keeps every slot (and cache entry) of
+/// its source.
+#[derive(Debug, Clone)]
 pub struct Memory {
-    pages: PageMap,
+    /// Resident pages as `(page number, backing store)`.
+    slots: Vec<(u64, Page)>,
+    /// Page number → index into `slots`.
+    index: PageIndex,
+    /// Translation cache: entry `page % TLB_ENTRIES` holds the last
+    /// `(page, slot)` looked up there, or [`TLB_EMPTY`].
+    tlb: [Cell<(u64, u32)>; TLB_ENTRIES],
     /// Mapped regions: start → length (disjoint, coalesced on insert).
     regions: BTreeMap<u64, u64>,
     /// Last region hit by a mapping check, as `(start, end)`. Loop-local
@@ -115,6 +190,18 @@ pub struct Memory {
     /// `BTreeMap` range query on the interpreter's load/store hot path.
     /// `(0, 0)` means empty; invalidated whenever the region set changes.
     cache: Cell<(u64, u64)>,
+}
+
+impl Default for Memory {
+    fn default() -> Self {
+        Memory {
+            slots: Vec::new(),
+            index: PageIndex::default(),
+            tlb: std::array::from_fn(|_| Cell::new(TLB_EMPTY)),
+            regions: BTreeMap::new(),
+            cache: Cell::new((0, 0)),
+        }
+    }
 }
 
 impl Memory {
@@ -223,41 +310,95 @@ impl Memory {
 
     /// Total bytes of backing pages actually allocated.
     pub fn resident_bytes(&self) -> u64 {
-        self.pages.len() as u64 * PAGE_SIZE
+        self.resident_pages() * PAGE_SIZE
     }
 
     /// Number of backing pages currently in the page table.
     pub fn resident_pages(&self) -> u64 {
-        self.pages.len() as u64
+        self.slots.len() as u64
     }
 
     /// Number of resident pages whose backing store is shared with at least
     /// one other `Memory` (a live snapshot or fork sibling) and would be
     /// copied on the next write.
     pub fn shared_pages(&self) -> u64 {
-        self.pages
-            .values()
-            .filter(|p| Arc::strong_count(p) > 1)
-            .count() as u64
+        self.slots.iter().filter(|(_, p)| p.is_shared()).count() as u64
+    }
+
+    /// Makes every owned page shareable, so that a following `clone` shares
+    /// all pages copy-on-write instead of copying the owned ones. Moves
+    /// pointers only; slots and the translation cache stay valid. Call it
+    /// before cloning a `Memory` that should share its pages (a snapshot,
+    /// a fork).
+    pub fn share(&mut self) {
+        self.slots = std::mem::take(&mut self.slots)
+            .into_iter()
+            .map(|(page, p)| (page, p.into_shared()))
+            .collect();
     }
 
     /// Drops every all-zero backing page. Semantics-preserving: absent pages
     /// read as zeros (`read_unchecked`) and mapping checks consult the
     /// region set, never the page table. Called on snapshot so a checkpoint
     /// neither pins dead zero pages nor diverges in `resident_pages` from a
-    /// world that never dirtied them. Returns the number of pages reclaimed.
+    /// world that never dirtied them. Rebuilds the slot arena (the only
+    /// operation that does) and clears the translation cache. Returns the
+    /// number of pages reclaimed.
     pub fn prune_zero_pages(&mut self) -> u64 {
-        let before = self.pages.len();
-        self.pages.retain(|_, p| p.iter().any(|&b| b != 0));
-        (before - self.pages.len()) as u64
+        let before = self.slots.len();
+        self.slots
+            .retain(|(_, p)| p.bytes().iter().any(|&b| b != 0));
+        self.index = self
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(slot, &(page, _))| (page, slot as u32))
+            .collect();
+        for e in &self.tlb {
+            e.set(TLB_EMPTY);
+        }
+        (before - self.slots.len()) as u64
     }
 
-    fn page_mut(&mut self, page: u64) -> &mut [u8; PAGE_SIZE as usize] {
-        Arc::make_mut(
-            self.pages
-                .entry(page)
-                .or_insert_with(|| Arc::new([0u8; PAGE_SIZE as usize])),
-        )
+    /// The slot of a resident page: the translation cache first, then the
+    /// page index (refilling the cache entry on a hit).
+    #[inline]
+    fn slot_of(&self, page: u64) -> Option<usize> {
+        let entry = &self.tlb[page as usize % TLB_ENTRIES];
+        let (cached, slot) = entry.get();
+        if cached == page {
+            return Some(slot as usize);
+        }
+        let slot = *self.index.get(&page)?;
+        entry.set((page, slot));
+        Some(slot as usize)
+    }
+
+    /// The bytes of `page`, or `None` if it was never written.
+    #[inline]
+    fn page(&self, page: u64) -> Option<&PageBytes> {
+        self.slot_of(page).map(|s| self.slots[s].1.bytes())
+    }
+
+    /// The bytes of `page` for writing, allocating a zero page on first
+    /// touch and taking ownership of a shared one.
+    #[inline]
+    fn page_mut(&mut self, page: u64) -> &mut PageBytes {
+        let slot = match self.slot_of(page) {
+            Some(s) => s,
+            None => self.insert_page(page),
+        };
+        self.slots[slot].1.make_mut()
+    }
+
+    #[cold]
+    fn insert_page(&mut self, page: u64) -> usize {
+        let slot = self.slots.len();
+        self.slots
+            .push((page, Page::Owned(Box::new([0; PAGE_SIZE as usize]))));
+        self.index.insert(page, slot as u32);
+        self.tlb[page as usize % TLB_ENTRIES].set((page, slot as u32));
+        slot
     }
 
     /// Raw read that ignores the region map (used by the attack framework's
@@ -269,7 +410,7 @@ impl Memory {
             let a = addr.wrapping_add(done as u64);
             let (page, off) = (a / PAGE_SIZE, (a % PAGE_SIZE) as usize);
             let n = (buf.len() - done).min(PAGE_SIZE as usize - off);
-            match self.pages.get(&page) {
+            match self.page(page) {
                 Some(p) => buf[done..done + n].copy_from_slice(&p[off..off + n]),
                 None => buf[done..done + n].fill(0),
             }
@@ -300,7 +441,7 @@ impl Memory {
             let a = addr.wrapping_add(done);
             let (page, off) = (a / PAGE_SIZE, (a % PAGE_SIZE) as usize);
             let n = (len - done).min(PAGE_SIZE - off as u64) as usize;
-            let bytes = self.pages.get(&page).map_or(&ZERO_PAGE, |p| &**p);
+            let bytes = self.page(page).unwrap_or(&ZERO_PAGE);
             f(&bytes[off..off + n]);
             done += n as u64;
         }
@@ -348,7 +489,7 @@ impl MemIo for Memory {
         let off = (addr % PAGE_SIZE) as usize;
         if off <= PAGE_SIZE as usize - 8 {
             // Within one page: a single lookup and an aligned-free copy.
-            return Ok(match self.pages.get(&(addr / PAGE_SIZE)) {
+            return Ok(match self.page(addr / PAGE_SIZE) {
                 Some(p) => u64::from_le_bytes(p[off..off + 8].try_into().unwrap()),
                 None => 0,
             });
@@ -526,6 +667,7 @@ mod tests {
         m.map_region(0x1000, 0x3000);
         m.write_u64(0x1000, 1).unwrap();
         m.write_u64(0x2000, 2).unwrap();
+        m.share();
         let mut c = m.clone();
         assert_eq!(m.shared_pages(), 2);
         assert_eq!(c.shared_pages(), 2);
@@ -565,5 +707,157 @@ mod tests {
         m.map_region(0x1000, 0x800);
         assert!(m.is_mapped(0x1000, 0x800));
         assert!(!m.is_mapped(0x1800, 8));
+    }
+
+    /// The naive reference model of one address space: every byte of a
+    /// small address space, a per-byte mapped flag, and the set of pages
+    /// some write has touched.
+    #[derive(Clone)]
+    struct Model {
+        bytes: Vec<u8>,
+        mapped: Vec<bool>,
+        resident: std::collections::BTreeSet<u64>,
+    }
+
+    /// Bytes of address space the model covers.
+    const SPACE: u64 = 6 * PAGE_SIZE;
+
+    impl Model {
+        fn new() -> Self {
+            Model {
+                bytes: vec![0; SPACE as usize],
+                mapped: vec![false; SPACE as usize],
+                resident: std::collections::BTreeSet::new(),
+            }
+        }
+
+        fn span(addr: u64, len: u64) -> std::ops::Range<usize> {
+            addr as usize..addr.saturating_add(len).min(SPACE) as usize
+        }
+
+        fn is_mapped(&self, addr: u64, len: u64) -> bool {
+            self.mapped[Self::span(addr, len)].iter().all(|&m| m)
+        }
+
+        fn write(&mut self, addr: u64, data: &[u8]) {
+            self.bytes[Self::span(addr, data.len() as u64)].copy_from_slice(data);
+            if !data.is_empty() {
+                let last = addr + data.len() as u64 - 1;
+                self.resident.extend(addr / PAGE_SIZE..=last / PAGE_SIZE);
+            }
+        }
+
+        fn prune(&mut self) -> u64 {
+            let before = self.resident.len();
+            let bytes = &self.bytes;
+            self.resident.retain(|&p| {
+                bytes[Self::span(p * PAGE_SIZE, PAGE_SIZE)]
+                    .iter()
+                    .any(|&b| b != 0)
+            });
+            (before - self.resident.len()) as u64
+        }
+    }
+
+    proptest::proptest! {
+        /// Random map/unmap/read/write/`read_u64`/`write_u64` sequences,
+        /// interleaved with clones, `share`, write-after-clone and
+        /// `prune_zero_pages`, against the naive byte-map model: every read
+        /// and fault agrees, `resident_pages` agrees, and no instance's
+        /// writes ever show through another (each instance's whole address
+        /// space is compared with its own model at the end). Accesses are
+        /// kept inside `SPACE` so the model stays a flat array.
+        #[test]
+        fn memory_matches_a_byte_map_model(
+            ops in proptest::collection::vec((0u8..14, 0u64..SPACE - 8, 0u64..5000), 1..160)
+        ) {
+            let mut inst = vec![(Memory::new(), Model::new())];
+            let mut cur = 0usize;
+            let mut fill = 0u8;
+            for (op, addr, n) in ops {
+                let (m, model) = &mut inst[cur];
+                let len = n.min(SPACE - addr);
+                let short = (n % 300).min(SPACE - addr) as usize;
+                match op {
+                    0 | 1 => {
+                        m.map_region(addr, len);
+                        model.mapped[Model::span(addr, len)].fill(true);
+                    }
+                    2 => {
+                        m.unmap_region(addr, len);
+                        model.mapped[Model::span(addr, len)].fill(false);
+                    }
+                    3 => {
+                        let mut buf = vec![0u8; short];
+                        let ok = model.is_mapped(addr, short as u64);
+                        proptest::prop_assert_eq!(m.read(addr, &mut buf).is_ok(), ok);
+                        if ok {
+                            proptest::prop_assert_eq!(&buf[..], &model.bytes[Model::span(addr, short as u64)]);
+                        }
+                    }
+                    4 | 5 => {
+                        let data: Vec<u8> = (0..short).map(|_| { fill = fill.wrapping_add(1); fill }).collect();
+                        let ok = model.is_mapped(addr, short as u64);
+                        let res = m.write(addr, &data);
+                        proptest::prop_assert_eq!(res.is_ok(), ok);
+                        if let Err(e) = res {
+                            proptest::prop_assert_eq!(e, OutOfBounds { addr, write: true });
+                        } else {
+                            model.write(addr, &data);
+                        }
+                    }
+                    6 => {
+                        let ok = model.is_mapped(addr, 8);
+                        let got = m.read_u64(addr);
+                        proptest::prop_assert_eq!(got.is_ok(), ok);
+                        if let Ok(v) = got {
+                            let span = Model::span(addr, 8);
+                            proptest::prop_assert_eq!(v.to_le_bytes()[..], model.bytes[span]);
+                        }
+                    }
+                    7 | 8 => {
+                        // Zeros at times, so pruning has pages to reclaim.
+                        let v = if n % 4 == 0 { 0 } else { n.wrapping_mul(0x9E37_79B9_7F4A_7C15) };
+                        let ok = model.is_mapped(addr, 8);
+                        proptest::prop_assert_eq!(m.write_u64(addr, v).is_ok(), ok);
+                        if ok {
+                            model.write(addr, &v.to_le_bytes());
+                        }
+                    }
+                    9 => {
+                        let data = [fill; 3];
+                        m.write_unchecked(addr, &data);
+                        model.write(addr, &data);
+                    }
+                    10 => {
+                        let (mc, modelc) = (m.clone(), model.clone());
+                        if inst.len() < 4 { inst.push((mc, modelc)); } else { inst[(n % 4) as usize] = (mc, modelc); }
+                    }
+                    11 => {
+                        m.share();
+                        proptest::prop_assert!(m.shared_pages() <= m.resident_pages());
+                        let c = (m.clone(), model.clone());
+                        proptest::prop_assert_eq!(m.shared_pages(), m.resident_pages());
+                        proptest::prop_assert_eq!(c.0.shared_pages(), c.0.resident_pages());
+                        if inst.len() < 4 { inst.push(c); } else { inst[(n % 4) as usize] = c; }
+                    }
+                    12 => {
+                        let reclaimed = m.prune_zero_pages();
+                        proptest::prop_assert_eq!(reclaimed, model.prune());
+                    }
+                    _ => cur = (n as usize) % inst.len(),
+                }
+                let (m, model) = &inst[cur];
+                proptest::prop_assert_eq!(m.resident_pages(), model.resident.len() as u64);
+                proptest::prop_assert_eq!(m.is_mapped(addr, len), model.is_mapped(addr, len));
+                proptest::prop_assert!(m.shared_pages() <= m.resident_pages());
+            }
+            for (m, model) in &inst {
+                let mut all = vec![0u8; SPACE as usize];
+                m.read_unchecked(0, &mut all);
+                proptest::prop_assert!(all == model.bytes, "an instance's bytes diverged from its model");
+                proptest::prop_assert_eq!(m.resident_pages(), model.resident.len() as u64);
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@ use bastion::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
 use bastion::ir::build::ModuleBuilder;
 use bastion::ir::{BinOp, CmpOp, Inst, IntrinsicOp, Module, Operand, Ty};
 use bastion::kernel::LegacyInterpGuard;
-use bastion::vm::{interp, CostModel, Event, Image, Machine};
+use bastion::vm::{interp, CostModel, DecodedInst, Event, Fault, Image, Machine, MemIo};
 use bastion::Protection;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -273,6 +273,58 @@ proptest! {
         prop_assert_eq!(legacy.exited, fast.exited);
     }
 
+    /// Burst-boundary equivalence: `run_bounded` with random step caps of
+    /// 1..=8 against the legacy oracle stepped the same number of times.
+    /// Small caps keep splitting the fused frame-slot superinstructions
+    /// between their halves, so every boundary must land where the plain
+    /// instruction stream would put it: same event, step count, cycles,
+    /// pc and stack registers.
+    #[test]
+    fn random_ir_burst_boundaries_match_legacy(
+        nblocks in 1usize..6,
+        ops in proptest::collection::vec(any::<u8>(), 0..160),
+        caps in proptest::collection::vec(1u64..9, 1..32),
+    ) {
+        let module = random_module(nblocks, &ops);
+        let img = Arc::new(Image::load(module).expect("random module validates"));
+        let mut legacy = Machine::new(img.clone(), CostModel::default());
+        let mut fast = Machine::new(img, CostModel::default());
+        let (mut legacy_steps, mut fast_steps) = (0u64, 0u64);
+        for burst in 0..20_000usize {
+            let cap = caps[burst % caps.len()];
+            let (n, ef) = interp::run_bounded(&mut fast, cap);
+            fast_steps += n;
+            let mut el = None;
+            let mut k = 0;
+            while k < cap {
+                k += 1;
+                match interp::step(&mut legacy) {
+                    Event::Continue => {}
+                    e => {
+                        el = Some(e);
+                        break;
+                    }
+                }
+            }
+            legacy_steps += k;
+            prop_assert_eq!(ef, el, "event diverged in burst {}", burst);
+            prop_assert_eq!(fast_steps, legacy_steps, "steps diverged in burst {}", burst);
+            prop_assert_eq!(legacy.cycles, fast.cycles, "cycles diverged in burst {}", burst);
+            prop_assert_eq!(legacy.pc, fast.pc, "pc diverged in burst {}", burst);
+            prop_assert_eq!((legacy.sp, legacy.fp), (fast.sp, fast.fp));
+            match ef {
+                Some(Event::Syscall { nr, .. }) => {
+                    let ret = u64::from(nr) + 7;
+                    legacy.complete_syscall(ret);
+                    fast.complete_syscall(ret);
+                }
+                Some(_) => break,
+                None => {}
+            }
+        }
+        prop_assert_eq!(legacy.exited, fast.exited);
+    }
+
     /// Whole-run equivalence through the event loop: both engines ride the
     /// module to completion and must agree on the final event and totals.
     #[test]
@@ -306,4 +358,68 @@ proptest! {
         prop_assert_eq!(cy_l, cy_f);
         prop_assert_eq!(ex_l, ex_f);
     }
+}
+
+/// The memory half of a fused frame-slot load faults: a syscall stub's
+/// saved frame pointer is smashed while it is trapped, so its `ret` hands
+/// `main` a wild `fp`, and `main`'s next `FrameAddr`+`Load` pair reads
+/// unmapped memory. Both engines must fault at the `Load` unit, with the
+/// `FrameAddr` charged, the `Load` not, and the same steps retired.
+#[test]
+fn fused_frame_load_fault_matches_legacy() {
+    let mut mb = ModuleBuilder::new("smashed_fp");
+    let getpid = mb.declare_syscall_stub("getpid", 39, 0);
+    let mut f = mb.function("main", &[], Ty::I64);
+    let x = f.local("x", Ty::I64);
+    let xa = f.frame_addr(x);
+    f.store(xa, 5i64);
+    let _ = f.call_direct(getpid, &[]);
+    let xa2 = f.frame_addr(x);
+    let v = f.load(xa2);
+    f.ret(Some(v.into()));
+    f.finish();
+    let img = Arc::new(Image::load(mb.finish()).expect("module validates"));
+
+    let wild_fp = 0xdead_0000u64;
+    let run = |fast: bool| {
+        let mut m = Machine::new(img.clone(), CostModel::default());
+        let mut steps = 0u64;
+        let mut drive = |m: &mut Machine| -> Event {
+            if fast {
+                let (n, e) = interp::run_bounded(m, 1_000);
+                steps += n;
+                e.expect("event within budget")
+            } else {
+                loop {
+                    steps += 1;
+                    match interp::step(m) {
+                        Event::Continue => {}
+                        e => return e,
+                    }
+                }
+            }
+        };
+        assert!(matches!(drive(&mut m), Event::Syscall { nr: 39, .. }));
+        // The stub's frame: `[fp]` is main's saved frame pointer.
+        m.mem.write_u64(m.fp, wild_fp).expect("stack mapped");
+        m.complete_syscall(1);
+        let e = drive(&mut m);
+        (e, m.pc, m.cycles, steps, m.fp)
+    };
+    let legacy = run(false);
+    let fast = run(true);
+    assert!(
+        matches!(legacy.0, Event::Fault(Fault::Mem(e)) if !e.write),
+        "legacy did not fault on the load: {:?}",
+        legacy.0
+    );
+    assert_eq!(legacy.4, wild_fp);
+    assert_eq!(fast, legacy);
+    // The fault is on the plain Load unit that follows the fused one.
+    let unit = img.decoded.unit_of_addr(img.layout.addr_of(fast.1).raw());
+    assert!(matches!(img.decoded.inst(unit), DecodedInst::Load { .. }));
+    assert!(matches!(
+        img.decoded.inst(unit - 1),
+        DecodedInst::FrameLoad { .. }
+    ));
 }

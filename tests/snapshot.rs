@@ -153,3 +153,37 @@ fn fork_inherits_prefilter_state_across_a_restored_checkpoint() {
         "monitor behaviour diverged across the checkpoint"
     );
 }
+
+/// A snapshot taken straight after a burst of page-dirtying writes shares
+/// every resident page with the live world: the owned pages are shared,
+/// not copied, on the snapshot path. Before the snapshot no page is
+/// shared; after it, every one is, and a world restored from it holds the
+/// same pages.
+#[test]
+fn snapshot_after_heavy_writes_copies_no_page() {
+    let src = r#"
+        long main() {
+            long a;
+            long i;
+            long s;
+            a = mmap(0, 65536, 3, 0x21, 0 - 1, 0);
+            i = 0;
+            while (i < 8192) { a[i] = i + 1; i = i + 1; }
+            s = getpid();
+            while (s > 0) { s = getpid(); }
+            return 0;
+        }
+    "#;
+    let d = Deployment::from_minic("heavy-writes", &[src]).expect("compiles");
+    let mut live = d.world();
+    d.launch(&mut live, &Protection::vanilla());
+    live.run(20_000_000);
+    let (resident, shared) = live.page_stats();
+    assert!(resident >= 16, "the writes dirtied only {resident} pages");
+    assert_eq!(shared, 0, "pages shared before any snapshot or fork");
+    let snap = live.snapshot();
+    assert_eq!(live.page_stats(), (resident, resident));
+    assert_eq!(snap.shared_pages(), resident);
+    let restored = World::restore(&snap);
+    assert_eq!(restored.page_stats(), (resident, resident));
+}
