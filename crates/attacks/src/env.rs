@@ -10,11 +10,12 @@
 
 use crate::victim::Victim;
 use bastion_compiler::{BastionCompiler, ContextMetadata};
+use bastion_defenses::HardeningConfig;
 use bastion_ir::sysno;
 use bastion_kernel::process::{ProcState, WaitReason};
 use bastion_kernel::{ExitReason, ExtConnId, Pid, World};
-use bastion_monitor::ContextConfig;
-use bastion_vm::{CostModel, Image, Machine};
+use bastion_monitor::{ContextConfig, Deployment, Protection};
+use bastion_vm::Image;
 use std::sync::Arc;
 
 /// How a run was stopped (or not).
@@ -123,24 +124,23 @@ impl AttackEnv {
         extended_set: bool,
         cet: bool,
     ) -> AttackEnv {
-        let module = victim.module();
         let compiler = if extended_set {
             BastionCompiler::with_sensitive(sysno::extended_sensitive_set())
         } else {
             BastionCompiler::new()
         };
-        let out = compiler.compile(module).expect("victim compiles");
-        let image = Arc::new(Image::load(out.module).expect("victim image loads"));
-        let mut world = World::new(CostModel::default());
+        let d = Deployment::with_compiler(victim.module(), &compiler).expect("victim compiles");
+        let mut world = d.world();
         victim.setup(&mut world);
-        let mut machine = Machine::new(image.clone(), CostModel::default());
-        if cet {
-            machine.enable_cet();
-        }
-        let root_pid = world.spawn(machine);
-        if let Some(cfg) = cfg {
-            bastion_monitor::protect(&mut world, root_pid, &image, &out.metadata, cfg);
-        }
+        let protection = Protection {
+            label: "attack",
+            hardening: HardeningConfig {
+                cet,
+                llvm_cfi: false,
+            },
+            monitor: cfg,
+        };
+        let root_pid = d.launch(&mut world, &protection);
         world.run(2_000_000_000);
         assert!(
             world.alive_count() > 0,
@@ -149,8 +149,8 @@ impl AttackEnv {
         );
         AttackEnv {
             world,
-            image,
-            metadata: out.metadata,
+            image: d.image,
+            metadata: d.metadata.expect("instrumented deployment"),
             victim,
             root_pid,
             scratch_cursor: 0,

@@ -17,8 +17,8 @@
 //!
 //! Writes the full check table plus per-app/per-scope verify-latency
 //! percentiles to `BENCH_obs.json` and exits non-zero if any check
-//! fails. Wall-clock telemetry overhead is *reported*, never gated —
-//! shared-CI wall time is noise. Usage:
+//! fails. The report holds no wall-clock field: a single-shot host timing
+//! is noise, and host time is measured, repeated, by `hostbench/`. Usage:
 //! `perf_gate [BENCH_interp.json] [BENCH_fleet.json] [BENCH_obs.json]`.
 
 use bastion::apps::App;
@@ -29,7 +29,6 @@ use bastion::obs::{self, EventKind, Phase, TraceEvent};
 use bastion::vm::CostModel;
 use bastion::{attacks, fleet, Protection};
 use serde::Serialize;
-use std::time::Instant;
 
 /// One measured lane of `BENCH_obs.json`: an app under one sensitive
 /// scope, with sketch and exact verify-latency percentiles side by side.
@@ -53,9 +52,6 @@ struct ScopeRow {
     exact_p99: u64,
     /// |sketch p99 - exact p99| / exact p99, percent.
     sketch_p99_rel_err_pct: f64,
-    /// Wall-clock cost of running with telemetry on vs off (diagnostic
-    /// only — never gated).
-    telemetry_wall_overhead_pct: f64,
 }
 
 #[derive(Debug, Serialize)]
@@ -125,14 +121,10 @@ fn measure_scope(
 ) -> ScopeMeasurement {
     let size = WorkloadSize::quick();
     let cost = CostModel::default();
-    let t0 = Instant::now();
     let clean = run_app_benchmark(app, protection, &size, compiler, cost);
-    let clean_wall = t0.elapsed().as_secs_f64();
 
     let guard = obs::TelemetryGuard::enable(1 << 17);
-    let t1 = Instant::now();
     let traced = run_app_benchmark(app, protection, &size, compiler, cost);
-    let traced_wall = t1.elapsed().as_secs_f64();
     let (events, registry) = guard.finish();
     let snap = registry.snapshot();
 
@@ -163,7 +155,6 @@ fn measure_scope(
         exact_p95: exact_quantile(&exact, 0.95),
         exact_p99,
         sketch_p99_rel_err_pct: rel_err_pct(exact_p99, sketch.p99),
-        telemetry_wall_overhead_pct: (traced_wall - clean_wall) / clean_wall.max(1e-9) * 100.0,
     };
     ScopeMeasurement { clean, traced, row }
 }

@@ -10,12 +10,12 @@
 //! ```
 
 use bastion::compiler::BastionCompiler;
+use bastion::defenses::HardeningConfig;
 use bastion::kernel::{ExitReason, World};
 use bastion::minic;
 use bastion::monitor::ContextConfig;
-use bastion::vm::{CostModel, Image, Machine};
+use bastion::{Deployment, Protection};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -141,12 +141,15 @@ fn flag_value<'a>(flags: &[&'a str], name: &str) -> Option<&'a str> {
         .find_map(|f| f.strip_prefix(&format!("--{name}=")))
 }
 
-fn compile(paths: &[&str]) -> Result<bastion::compiler::CompileOutput, String> {
+fn parse(paths: &[&str]) -> Result<bastion::ir::Module, String> {
     let sources = read_sources(paths)?;
     let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    let module = minic::compile_program("cli", &refs).map_err(|e| format!("compile error: {e}"))?;
+    minic::compile_program("cli", &refs).map_err(|e| format!("compile error: {e}"))
+}
+
+fn compile(paths: &[&str]) -> Result<bastion::compiler::CompileOutput, String> {
     BastionCompiler::new()
-        .compile(module)
+        .compile(parse(paths)?)
         .map_err(|e| format!("instrumentation error: {e}"))
 }
 
@@ -187,36 +190,37 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--protect MODE` into a monitor configuration.
-fn parse_protect(flags: &[&str]) -> Result<Option<ContextConfig>, String> {
-    match flag_value(flags, "protect").unwrap_or("full") {
-        "full" => Ok(Some(ContextConfig::full())),
-        "ct" => Ok(Some(ContextConfig::ct())),
-        "ct-cf" => Ok(Some(ContextConfig::ct_cf())),
-        "hook" => Ok(Some(ContextConfig::hook_only())),
-        "none" => Ok(None),
-        other => Err(format!("unknown --protect mode `{other}`")),
-    }
+/// Parses `--protect MODE`, `--cet` and `--no-prefilter` into a
+/// protection.
+fn parse_protect(flags: &[&str]) -> Result<Protection, String> {
+    let monitor = match flag_value(flags, "protect").unwrap_or("full") {
+        "full" => Some(ContextConfig::full()),
+        "ct" => Some(ContextConfig::ct()),
+        "ct-cf" => Some(ContextConfig::ct_cf()),
+        "hook" => Some(ContextConfig::hook_only()),
+        "none" => None,
+        other => return Err(format!("unknown --protect mode `{other}`")),
+    };
+    // `--no-prefilter` pins tier-2-only verification for this run.
+    let prefilter = !flags.contains(&"--no-prefilter");
+    Ok(Protection {
+        label: "cli",
+        hardening: HardeningConfig {
+            cet: flags.contains(&"--cet"),
+            llvm_cfi: false,
+        },
+        monitor: monitor.map(|cfg| cfg.with_prefilter(cfg.prefilter && prefilter)),
+    })
 }
 
 /// Compiles `files` and runs them in a fresh world under the flags'
 /// protection. Returns the finished world and the victim pid.
 fn execute(files: &[&str], flags: &[&str]) -> Result<(World, bastion::kernel::Pid), String> {
-    // `--no-prefilter` pins tier-2-only verification for this run; the
-    // flag is read at `protect()` time, when the filter is built.
-    let _tier2_only = bastion::monitor::NoPrefilterGuard::new(flags.contains(&"--no-prefilter"));
-    let monitor_cfg = parse_protect(flags)?;
-    let out = compile(files)?;
-    let image = Arc::new(Image::load(out.module).map_err(|e| format!("load: {e}"))?);
-    let mut world = World::new(CostModel::default());
-    let mut machine = Machine::new(image.clone(), CostModel::default());
-    if flags.contains(&"--cet") {
-        machine.enable_cet();
-    }
-    let pid = world.spawn(machine);
-    if let Some(cfg) = monitor_cfg {
-        bastion::monitor::protect(&mut world, pid, &image, &out.metadata, cfg);
-    }
+    let protection = parse_protect(flags)?;
+    let d = Deployment::from_module(parse(files)?)
+        .map_err(|e| format!("instrumentation error: {e}"))?;
+    let mut world = d.world();
+    let pid = d.launch(&mut world, &protection);
     let status = world.run(10_000_000_000);
     let console = String::from_utf8_lossy(&world.kernel.console).into_owned();
     if !console.is_empty() {
@@ -460,25 +464,11 @@ struct TopLane {
 }
 
 fn boot_lane(app: bastion::apps::App) -> TopLane {
-    let cost = CostModel::default();
-    let protection = bastion::Protection::full();
-    let out = BastionCompiler::new()
-        .compile(app.module().expect("app compiles"))
+    let d = Deployment::from_module(app.module().expect("app compiles"))
         .expect("instrumentation succeeds");
-    let metadata = out.metadata;
-    let image = Arc::new(Image::load(out.module).expect("image loads"));
-    let mut world = World::new(cost);
+    let mut world = d.world();
     app.setup_vfs(&mut world);
-    let mut machine = Machine::new(image.clone(), cost);
-    protection.hardening.apply(&mut machine);
-    let pid = world.spawn(machine);
-    bastion::monitor::protect(
-        &mut world,
-        pid,
-        &image,
-        &metadata,
-        protection.monitor.expect("full protection has a monitor"),
-    );
+    d.launch(&mut world, &Protection::full());
     world.run(1_000_000_000);
     assert!(world.alive_count() > 0, "{} died during boot", app.id());
     TopLane {

@@ -152,3 +152,29 @@ fn stats_prints_sketch_lines_and_summary_exposition() {
     assert_eq!(shape.histograms, 0, "{text}");
     assert!(shape.summaries > 0, "{text}");
 }
+
+/// The `trap.tier1_cycles` sample count `bastion stats` reports (0 when
+/// the sketch is absent).
+fn tier1_samples(extra: &[&str]) -> u64 {
+    let src = write_demo();
+    let out = bastion()
+        .args(["stats", src.to_str().unwrap()])
+        .args(extra)
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("trap.tier1_cycles"))
+        .map_or(0, |l| {
+            let count = l.split_whitespace().find_map(|f| f.strip_prefix("count="));
+            count.expect("count field").parse().expect("numeric count")
+        })
+}
+
+#[test]
+fn no_prefilter_flag_turns_tier_1_off() {
+    assert!(tier1_samples(&[]) > 0, "tier 1 never ran by default");
+    assert_eq!(tier1_samples(&["--no-prefilter"]), 0);
+}

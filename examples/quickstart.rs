@@ -45,7 +45,7 @@ long main() {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Compile: analysis + instrumentation + context metadata.
     let deployment = Deployment::from_minic("quickstart", &[APP])?;
-    let stats = &deployment.metadata.stats;
+    let stats = &deployment.metadata.as_ref().expect("instrumented").stats;
     println!(
         "compiled: {} callsites, {} sensitive, {} instrumentation points",
         stats.total_callsites,

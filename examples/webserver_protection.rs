@@ -7,34 +7,19 @@
 //! ```
 
 use bastion::apps::{loadgen, App};
-use bastion::compiler::BastionCompiler;
 use bastion::ir::sysno;
-use bastion::kernel::World;
-use bastion::vm::{CostModel, Image, Machine};
-use bastion::{monitor, Protection};
-use std::sync::Arc;
+use bastion::{monitor, Deployment, Protection};
 
 fn main() {
     let app = App::Webserve;
     let protection = Protection::full();
     println!("booting {} under {} ...", app.label(), protection.label);
 
-    let out = BastionCompiler::new()
-        .compile(app.module().expect("webserve compiles"))
+    let d = Deployment::from_module(app.module().expect("webserve compiles"))
         .expect("instrumentation succeeds");
-    let image = Arc::new(Image::load(out.module).expect("image loads"));
-    let mut world = World::new(CostModel::default());
+    let mut world = d.world();
     app.setup_vfs(&mut world);
-    let mut machine = Machine::new(image.clone(), CostModel::default());
-    protection.hardening.apply(&mut machine);
-    let pid = world.spawn(machine);
-    monitor::protect(
-        &mut world,
-        pid,
-        &image,
-        &out.metadata,
-        protection.monitor.expect("full protection has a monitor"),
-    );
+    d.launch(&mut world, &protection);
 
     world.run(1_000_000_000);
     println!(

@@ -36,9 +36,10 @@ long main() {
 fn full_pipeline_legitimate_run() {
     let d = Deployment::from_minic("daemon", &[DAEMON]).expect("compiles");
     // The pass produced sensible metadata.
-    assert!(d.metadata.stats.sensitive_callsites >= 5); // socket,bind,listen,setgid,setuid
-    assert_eq!(d.metadata.stats.sensitive_indirect, 0);
-    assert!(d.metadata.stats.total_instrumentation() > 0);
+    let stats = &d.metadata.as_ref().expect("instrumented").stats;
+    assert!(stats.sensitive_callsites >= 5); // socket,bind,listen,setgid,setuid
+    assert_eq!(stats.sensitive_indirect, 0);
+    assert!(stats.total_instrumentation() > 0);
 
     let mut world = d.world();
     let pid = d.launch(&mut world, &Protection::full());
@@ -86,12 +87,13 @@ fn every_protection_level_allows_legitimate_code() {
 #[test]
 fn metadata_survives_serialization_and_rebase() {
     let d = Deployment::from_minic("daemon", &[DAEMON]).expect("compiles");
-    let json = d.metadata.to_json().expect("serializes");
+    let md = d.metadata.expect("instrumented");
+    let json = md.to_json().expect("serializes");
     let back = bastion::compiler::ContextMetadata::from_json(&json).expect("parses");
-    assert_eq!(back, d.metadata);
+    assert_eq!(back, md);
     let shifted = back.rebased(0x10_0000);
-    assert_eq!(shifted.main_entry, d.metadata.main_entry + 0x10_0000);
-    assert_eq!(shifted.callsites.len(), d.metadata.callsites.len());
+    assert_eq!(shifted.main_entry, md.main_entry + 0x10_0000);
+    assert_eq!(shifted.callsites.len(), md.callsites.len());
 }
 
 #[test]
@@ -145,6 +147,8 @@ fn cli_style_violation_reporting() {
     let d = Deployment::from_minic("ptr", &[src]).expect("compiles");
     assert!(d
         .metadata
+        .as_ref()
+        .expect("instrumented")
         .syscall_classes
         .get(&bastion::ir::sysno::MPROTECT)
         .unwrap()

@@ -4,11 +4,12 @@
 //! trap counts, syscall counts — and every injected-fault cell must
 //! escalate to tier 2 (the fail-closed ladder never runs at tier 1).
 //!
-//! The tier-2-only oracle is the thread-local
-//! [`bastion::monitor::NoPrefilterGuard`] switch (the CLI's
-//! `--no-prefilter`), so whole-stack code paths run unmodified in both
-//! modes. Cycle totals legitimately differ — a tier-1 hit skips the
-//! ptrace stop — so parity is asserted on verdicts, never on time.
+//! The tier-2-only oracle is the same configuration with
+//! `ContextConfig::with_prefilter(false)` (the CLI's `--no-prefilter`),
+//! passed down the one deploy path, so whole-stack code paths run
+//! unmodified in both modes. Cycle totals legitimately differ — a tier-1
+//! hit skips the ptrace stop — so parity is asserted on verdicts, never
+//! on time.
 
 use bastion::attacks::{catalog, AttackEnv, Scenario};
 use bastion::chaos;
@@ -17,18 +18,15 @@ use bastion::harness::{run_app_benchmark, WorkloadSize};
 use bastion::ir::build::ModuleBuilder;
 use bastion::ir::{sysno, Module, Operand, Ty};
 use bastion::kernel::{ExitReason, FaultKind, FaultSchedule, RunStatus, Trigger, World};
-use bastion::monitor::{protect, ContextConfig, NoPrefilterGuard};
+use bastion::monitor::ContextConfig;
 use bastion::obs::DenyRecord;
-use bastion::vm::{CostModel, Image, Machine};
-use bastion::Protection;
+use bastion::vm::CostModel;
+use bastion::{Deployment, Protection};
 use proptest::prelude::*;
-use std::sync::Arc;
 
-/// Runs `f` with tier-2-only verification forced on this thread; the RAII
-/// guard restores the previous mode even if `f` panics.
-fn on_tier2<T>(f: impl FnOnce() -> T) -> T {
-    let _guard = NoPrefilterGuard::new(true);
-    f()
+/// Full BASTION with the tier-1 prefilter off: the tier-2-only oracle.
+fn tier2_only() -> ContextConfig {
+    ContextConfig::full().with_prefilter(false)
 }
 
 /// Everything verdict-relevant one world run produces.
@@ -87,10 +85,10 @@ fn observe(mut world: World) -> Observables {
 
 // ---- Table 6: the 32-attack catalog, byte-identical in both modes ----
 
-/// Runs one scenario under full BASTION and captures the observables plus
-/// the attack's own success predicate.
-fn attack_observables(s: &Scenario) -> (bool, Observables) {
-    let mut env = AttackEnv::deploy(s.victim, Some(ContextConfig::full()), s.extended_set, false);
+/// Runs one scenario under `cfg` and captures the observables plus the
+/// attack's own success predicate.
+fn attack_observables(s: &Scenario, cfg: ContextConfig) -> (bool, Observables) {
+    let mut env = AttackEnv::deploy(s.victim, Some(cfg), s.extended_set, false);
     (s.attack)(&mut env);
     env.settle();
     let succeeded = (s.success)(&env);
@@ -105,8 +103,8 @@ fn attack_observables(s: &Scenario) -> (bool, Observables) {
 #[test]
 fn table6_catalog_is_byte_identical_with_and_without_prefilter() {
     for s in &catalog() {
-        let (pf_success, pf) = attack_observables(s);
-        let (t2_success, t2) = on_tier2(|| attack_observables(s));
+        let (pf_success, pf) = attack_observables(s, ContextConfig::full());
+        let (t2_success, t2) = attack_observables(s, tier2_only());
         assert_eq!(
             pf_success, t2_success,
             "#{} {}: attack success flipped",
@@ -190,22 +188,13 @@ fn assert_fault_cells_escalate(compiler: &BastionCompiler, scope: &str) {
     ];
     for (kind_label, kind) in kinds {
         let label = format!("{scope}/{kind_label}");
-        let out = compiler.compile(faultable_app()).unwrap();
-        let image = Arc::new(Image::load(out.module).unwrap());
-        let machine = Machine::new(image.clone(), CostModel::default());
-        let mut world = World::new(CostModel::default());
+        let d = Deployment::with_compiler(faultable_app(), compiler).unwrap();
+        let mut world = d.world();
         world
             .kernel
             .vfs
             .put_file("/sbin/upgrade", vec![0x7f], 0o755);
-        let pid = world.spawn(machine);
-        protect(
-            &mut world,
-            pid,
-            &image,
-            &out.metadata,
-            ContextConfig::full(),
-        );
+        d.launch(&mut world, &Protection::bastion_no_cet());
         // Faults are live from the very first trap: no clean-boot window.
         world.install_faults(FaultSchedule::new(11).with(
             kind,
@@ -303,7 +292,11 @@ fn app_benchmarks_agree_and_prefilter_pays() {
         bastion::apps::App::Ftpd,
     ] {
         let pf = run_app_benchmark(app, &Protection::full(), &quick, &compiler, cost);
-        let t2 = on_tier2(|| run_app_benchmark(app, &Protection::full(), &quick, &compiler, cost));
+        let t2_prot = Protection {
+            monitor: Some(tier2_only()),
+            ..Protection::full()
+        };
+        let t2 = run_app_benchmark(app, &t2_prot, &quick, &compiler, cost);
         assert_eq!(pf.traps, t2.traps, "{app:?}: trap counts diverged");
         assert_eq!(pf.steps, t2.steps, "{app:?}: retired steps diverged");
         assert_eq!(
@@ -399,20 +392,15 @@ fn random_program(flag: i64, depth_via_worker: bool, do_exec: bool, reps: usize)
     mb.finish()
 }
 
-fn run_random(module: Module) -> Observables {
-    let out = BastionCompiler::new().compile(module).unwrap();
-    let image = Arc::new(Image::load(out.module).unwrap());
-    let machine = Machine::new(image.clone(), CostModel::default());
-    let mut world = World::new(CostModel::default());
+fn run_random(module: Module, cfg: ContextConfig) -> Observables {
+    let d = Deployment::from_module(module).unwrap();
+    let mut world = d.world();
     world.kernel.vfs.put_file("/bin/true", vec![0x7f], 0o755);
-    let pid = world.spawn(machine);
-    protect(
-        &mut world,
-        pid,
-        &image,
-        &out.metadata,
-        ContextConfig::full(),
-    );
+    let protection = Protection {
+        monitor: Some(cfg),
+        ..Protection::vanilla()
+    };
+    d.launch(&mut world, &protection);
     assert_eq!(world.run(200_000_000), RunStatus::AllExited);
     observe(world)
 }
@@ -428,8 +416,9 @@ proptest! {
         do_exec in any::<bool>(),
         reps in 1usize..4,
     ) {
-        let pf = run_random(random_program(flag, depth_via_worker, do_exec, reps));
-        let t2 = on_tier2(|| run_random(random_program(flag, depth_via_worker, do_exec, reps)));
+        let program = random_program(flag, depth_via_worker, do_exec, reps);
+        let pf = run_random(program.clone(), ContextConfig::full());
+        let t2 = run_random(program, tier2_only());
         prop_assert_eq!(pf, t2);
     }
 }
