@@ -1,42 +1,18 @@
-//! Interpreter throughput benchmark: predecoded fast path vs the legacy
-//! tree-walking interpreter.
+//! Exact interpreter/monitor baseline: the per-app virtual-cycle and
+//! trap rows `perf_gate` diffs against, the §11.2 extended-scope
+//! comparison, and the span-traced phase breakdown.
 //!
-//! Measures wall-clock steps/sec on a tight arithmetic microloop and on
-//! the real applications (webserve on the Figure 3 workload, dbkv and
-//! ftpd on the quick workload), plus the monitor's virtual cycles/trap.
-//! Writes machine-readable results to `BENCH_interp.json` (or the path
-//! given as the first argument). `--jobs=N` shards the per-app engine
-//! comparisons over the fleet runner; the deterministic columns are
-//! unchanged, only wall-clock noise differs.
+//! Every field is a deterministic virtual-time count, so a regenerated
+//! report is byte-identical on any host. Host time is measured only by
+//! `hostbench/`, as repeated samples with spread. Writes
+//! `BENCH_interp.json`, or the path given as the only argument.
 
 use bastion::apps::App;
 use bastion::compiler::BastionCompiler;
 use bastion::harness::{run_app_benchmark, AppBenchmark, WorkloadSize};
-use bastion::ir::build::ModuleBuilder;
-use bastion::ir::{BinOp, CmpOp, Operand, Ty};
-use bastion::kernel::LegacyInterpGuard;
-use bastion::vm::{interp, CostModel, Image, Machine};
+use bastion::vm::CostModel;
 use bastion::Protection;
 use serde::Serialize;
-use std::sync::Arc;
-use std::time::Instant;
-
-/// One engine's measurement of a fixed workload.
-#[derive(Debug, Serialize)]
-struct EngineRun {
-    steps: u64,
-    wall_secs: f64,
-    steps_per_sec: f64,
-}
-
-#[derive(Debug, Serialize)]
-struct Comparison {
-    workload: String,
-    fast: EngineRun,
-    legacy: EngineRun,
-    /// fast steps/sec over legacy steps/sec.
-    speedup: f64,
-}
 
 #[derive(Debug, Serialize)]
 struct AppRow {
@@ -54,9 +30,6 @@ struct AppRow {
     steady_cycles_per_trap: f64,
     /// One-time tier-1 check-program compile charge (0 with no prefilter).
     prefilter_compile_cycles: u64,
-    fast: EngineRun,
-    legacy: EngineRun,
-    speedup: f64,
 }
 
 /// One §11.2 extended-scope row: the same app verified over the
@@ -91,9 +64,6 @@ struct PhaseRow {
 #[derive(Debug, Serialize)]
 struct Report {
     bench: String,
-    microloop: Comparison,
-    /// Webserve on the Figure 3 (standard) workload — the headline number.
-    webserve_fig3: Comparison,
     apps: Vec<AppRow>,
     /// §11.2: per-app two-tier vs tier-2-only comparison under the
     /// filesystem-extended sensitive scope.
@@ -104,132 +74,36 @@ struct Report {
     phase_breakdown: Vec<PhaseRow>,
 }
 
-/// A tight loop exercising the hot dispatch path: arithmetic, compares,
-/// frame traffic, and a call per iteration.
-fn microloop_module() -> bastion::ir::Module {
-    let mut mb = ModuleBuilder::new("microloop");
-    let helper = mb.declare("helper", &[("x", Ty::I64)], Ty::I64);
-    {
-        let mut f = mb.define(helper);
-        let a = f.frame_addr(f.param_slot(0));
-        let v = f.load(a);
-        let d = f.bin(BinOp::Add, v, 1i64);
-        f.ret(Some(d.into()));
-        f.finish();
-    }
-    let mut f = mb.function("main", &[], Ty::I64);
-    let acc = f.local("acc", Ty::I64);
-    let head = f.new_block();
-    let body = f.new_block();
-    let done = f.new_block();
-    let pa = f.frame_addr(acc);
-    f.store(pa, 0i64);
-    f.jmp(head);
-    f.switch_to(head);
-    let pa = f.frame_addr(acc);
-    let cur = f.load(pa);
-    let c = f.cmp(CmpOp::Lt, cur, 1_000_000_000i64);
-    f.br(c, body, done);
-    f.switch_to(body);
-    let pa = f.frame_addr(acc);
-    let cur = f.load(pa);
-    let x = f.bin(BinOp::Mul, cur, 3i64);
-    let x = f.bin(BinOp::Xor, x, 0x5aa5i64);
-    let bumped = f.call_direct(helper, &[cur.into()]);
-    let _dead = f.bin(BinOp::And, x, bumped);
-    f.store(pa, bumped);
-    f.jmp(head);
-    f.switch_to(done);
-    f.ret(Some(Operand::Imm(0)));
-    f.finish();
-    mb.finish()
-}
-
-fn time_microloop(img: &Arc<Image>, steps: u64, legacy: bool) -> EngineRun {
-    let mut m = Machine::new(img.clone(), CostModel::default());
-    let t0 = Instant::now();
-    let done = if legacy {
-        let mut n = 0u64;
-        while n < steps {
-            interp::step(&mut m);
-            n += 1;
-        }
-        n
-    } else {
-        let (n, _) = interp::run_bounded(&mut m, steps);
-        n
-    };
-    engine_run(done, t0.elapsed().as_secs_f64())
-}
-
-fn engine_run(steps: u64, wall_secs: f64) -> EngineRun {
-    EngineRun {
-        steps,
-        wall_secs,
-        steps_per_sec: steps as f64 / wall_secs.max(1e-12),
-    }
-}
-
-fn timed_app(
-    app: App,
-    protection: &Protection,
-    size: &WorkloadSize,
-    legacy: bool,
-) -> (AppBenchmark, EngineRun) {
-    let compiler = BastionCompiler::new();
-    let _engine = LegacyInterpGuard::set(legacy);
-    let t0 = Instant::now();
-    let b = run_app_benchmark(app, protection, size, &compiler, CostModel::default());
-    let wall = t0.elapsed().as_secs_f64();
-    let run = engine_run(b.steps, wall);
-    (b, run)
-}
-
-fn compare_app(app: App, protection: &Protection, size: &WorkloadSize) -> AppRow {
-    let best = |legacy: bool| {
-        (0..2)
-            .map(|_| timed_app(app, protection, size, legacy))
-            .min_by(|a, b| a.1.wall_secs.total_cmp(&b.1.wall_secs))
-            .expect("two runs")
-    };
-    let (fast_b, fast) = best(false);
-    let (legacy_b, legacy) = best(true);
-    assert_eq!(
-        (fast_b.cycles, fast_b.steps, fast_b.traps),
-        (legacy_b.cycles, legacy_b.steps, legacy_b.traps),
-        "{}: engines diverged",
-        app.id()
+fn app_row(app: App, protection: &Protection, size: &WorkloadSize) -> AppRow {
+    let b = run_app_benchmark(
+        app,
+        protection,
+        size,
+        &BastionCompiler::new(),
+        CostModel::default(),
     );
-    let speedup = fast.steps_per_sec / legacy.steps_per_sec;
-    let init = fast_b.monitor.as_ref().map_or(0, |m| m.init_cycles);
+    let init = b.monitor.as_ref().map_or(0, |m| m.init_cycles);
+    let per_trap = |cycles: u64| {
+        if b.traps == 0 {
+            0.0
+        } else {
+            cycles as f64 / b.traps as f64
+        }
+    };
     AppRow {
         app: app.id().to_string(),
-        protection: fast_b.protection.to_string(),
-        metric: fast_b.metric,
-        virtual_cycles: fast_b.cycles,
-        traps: fast_b.traps,
-        cycles_per_trap: if fast_b.traps == 0 {
-            0.0
-        } else {
-            fast_b.trace_cycles as f64 / fast_b.traps as f64
-        },
-        steady_cycles_per_trap: if fast_b.traps == 0 {
-            0.0
-        } else {
-            fast_b.trace_cycles.saturating_sub(init) as f64 / fast_b.traps as f64
-        },
-        prefilter_compile_cycles: fast_b
-            .monitor
-            .as_ref()
-            .map_or(0, |m| m.prefilter_compile_cycles),
-        fast,
-        legacy,
-        speedup,
+        protection: b.protection.to_string(),
+        metric: b.metric,
+        virtual_cycles: b.cycles,
+        traps: b.traps,
+        cycles_per_trap: per_trap(b.trace_cycles),
+        steady_cycles_per_trap: per_trap(b.trace_cycles.saturating_sub(init)),
+        prefilter_compile_cycles: b.monitor.as_ref().map_or(0, |m| m.prefilter_compile_cycles),
     }
 }
 
 /// Steady-state trace cycles per trap (init charge excluded).
-fn steady_per_trap(b: &bastion::harness::AppBenchmark) -> f64 {
+fn steady_per_trap(b: &AppBenchmark) -> f64 {
     let init = b.monitor.as_ref().map_or(0, |m| m.init_cycles);
     b.trace_cycles.saturating_sub(init) as f64 / b.traps.max(1) as f64
 }
@@ -261,86 +135,20 @@ fn extended_scope_row(app: App, size: &WorkloadSize) -> ExtendedScopeRow {
 }
 
 fn main() {
-    let mut out_path = "BENCH_interp.json".to_string();
-    let mut jobs = 1usize;
-    for a in std::env::args().skip(1) {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = v.parse().expect("--jobs=N takes a positive integer");
-        } else if a == "--jobs" {
-            jobs = bastion::fleet::default_jobs();
-        } else {
-            out_path = a;
-        }
-    }
-
-    let img = Arc::new(Image::load(microloop_module()).expect("microloop loads"));
-    const MICRO_STEPS: u64 = 3_000_000;
-    // Warm up caches and the branch predictor before the measured runs.
-    time_microloop(&img, MICRO_STEPS / 4, false);
-    time_microloop(&img, MICRO_STEPS / 4, true);
-    let fast = time_microloop(&img, MICRO_STEPS, false);
-    let legacy = time_microloop(&img, MICRO_STEPS, true);
-    let microloop = Comparison {
-        workload: format!("arith+call microloop, {MICRO_STEPS} steps"),
-        speedup: fast.steps_per_sec / legacy.steps_per_sec,
-        fast,
-        legacy,
-    };
-    eprintln!(
-        "microloop: fast {:.1}M steps/s, legacy {:.1}M steps/s, speedup {:.2}x",
-        microloop.fast.steps_per_sec / 1e6,
-        microloop.legacy.steps_per_sec / 1e6,
-        microloop.speedup
-    );
-
-    // Headline: webserve on the Figure 3 (standard) workload, vanilla
-    // hardware config so the measurement is pure interpreter throughput.
-    let fig3 = WorkloadSize::standard();
-    // Best-of-3 per engine: the min wall time is the least-noise estimate.
-    let best = |legacy: bool| {
-        (0..3)
-            .map(|_| timed_app(App::Webserve, &Protection::vanilla(), &fig3, legacy))
-            .min_by(|a, b| a.1.wall_secs.total_cmp(&b.1.wall_secs))
-            .expect("three runs")
-    };
-    let (ws_fast_b, ws_fast) = best(false);
-    let (ws_legacy_b, ws_legacy) = best(true);
-    assert_eq!(ws_fast_b.cycles, ws_legacy_b.cycles, "webserve diverged");
-    let webserve_fig3 = Comparison {
-        workload: format!(
-            "webserve, {} requests x {} connections (Fig. 3 workload)",
-            fig3.http_requests, fig3.http_concurrency
-        ),
-        speedup: ws_fast.steps_per_sec / ws_legacy.steps_per_sec,
-        fast: ws_fast,
-        legacy: ws_legacy,
-    };
-    eprintln!(
-        "webserve fig3: fast {:.1}M steps/s, legacy {:.1}M steps/s, speedup {:.2}x",
-        webserve_fig3.fast.steps_per_sec / 1e6,
-        webserve_fig3.legacy.steps_per_sec / 1e6,
-        webserve_fig3.speedup
-    );
-
-    // Per-app engine comparisons are independent worlds, so they shard
-    // over the fleet. The deterministic columns (cycles, steps, traps,
-    // metric) are identical for any worker count; only the wall-clock
-    // throughput fields are noisier when workers share cores.
+    let out_path = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "BENCH_interp.json".to_string());
+    let apps_list = [App::Webserve, App::Dbkv, App::Ftpd];
     let quick = WorkloadSize::quick();
-    let apps = bastion::fleet::run_ordered(
-        jobs,
-        vec![App::Webserve, App::Dbkv, App::Ftpd],
-        |_, &app| compare_app(app, &Protection::full(), &quick),
-    );
+
+    let apps: Vec<AppRow> = apps_list
+        .iter()
+        .map(|&app| app_row(app, &Protection::full(), &quick))
+        .collect();
     for row in &apps {
         eprintln!(
-            "{}/{}: fast {:.1}M steps/s, legacy {:.1}M steps/s, speedup {:.2}x, {:.0} cyc/trap",
-            row.app,
-            row.protection,
-            row.fast.steps_per_sec / 1e6,
-            row.legacy.steps_per_sec / 1e6,
-            row.speedup,
-            row.cycles_per_trap
+            "{}/{}: {} cycles, {} traps, {:.0} cyc/trap",
+            row.app, row.protection, row.virtual_cycles, row.traps, row.cycles_per_trap
         );
     }
 
@@ -348,11 +156,10 @@ fn main() {
     // triples each app's trapped surface; the two-tier split must keep the
     // per-trap cost near the Table-1-scope number while the tier-2-only
     // baseline pays a full ptrace stop per trap.
-    let extended_scope = bastion::fleet::run_ordered(
-        jobs,
-        vec![App::Webserve, App::Dbkv, App::Ftpd],
-        |_, &app| extended_scope_row(app, &quick),
-    );
+    let extended_scope: Vec<ExtendedScopeRow> = apps_list
+        .iter()
+        .map(|&app| extended_scope_row(app, &quick))
+        .collect();
     for row in &extended_scope {
         eprintln!(
             "extended {}: two-tier {:.0} cyc/trap vs tier-2-only {:.0}, speedup {:.2}x, hit rate {:.1}%",
@@ -406,8 +213,6 @@ fn main() {
 
     let report = Report {
         bench: "interp".to_string(),
-        microloop,
-        webserve_fig3,
         apps,
         extended_scope,
         phase_breakdown,

@@ -3,8 +3,9 @@
 //! Two runs of webserve/quick under full protection:
 //!
 //! 1. **Clean path** (tracing off) — asserts the telemetry layer recorded
-//!    nothing, then diffs `virtual_cycles`/`traps` against the committed
-//!    `BENCH_interp.json` webserve row: the bench-smoke regression gate.
+//!    nothing. (The clean path's `virtual_cycles`/`traps` are gated exactly
+//!    against the committed `BENCH_interp.json` webserve row by
+//!    `perf_gate`, which runs the identical configuration.)
 //! 2. **Traced** — asserts the traced run's cycle counts are bit-identical
 //!    to the clean run (tracing charges no virtual cycles), exports a
 //!    Chrome trace, validates its shape, and cross-checks the span ring
@@ -13,7 +14,7 @@
 //!    (`trace_cycles - init_cycles`).
 //!
 //! Exit status is non-zero on any divergence; usage:
-//! `obs_smoke [BENCH_interp.json] [OBS_trace.json]`.
+//! `obs_smoke [OBS_trace.json]`.
 
 use bastion::apps::App;
 use bastion::compiler::BastionCompiler;
@@ -22,16 +23,6 @@ use bastion::obs;
 use bastion::obs::Phase;
 use bastion::vm::CostModel;
 use bastion::Protection;
-use serde::{DeError, Deserialize, Value};
-
-/// `Value` passthrough so the shim can parse arbitrary JSON documents.
-struct RawValue(Value);
-
-impl Deserialize for RawValue {
-    fn deserialize_value(v: &Value) -> Result<Self, DeError> {
-        Ok(RawValue(v.clone()))
-    }
-}
 
 fn webserve_quick() -> AppBenchmark {
     run_app_benchmark(
@@ -43,48 +34,14 @@ fn webserve_quick() -> AppBenchmark {
     )
 }
 
-fn as_u64(v: &Value) -> Option<u64> {
-    match *v {
-        Value::UInt(u) => Some(u),
-        Value::Int(i) if i >= 0 => Some(i as u64),
-        _ => None,
-    }
-}
-
-/// The committed bench baseline's webserve row: `(virtual_cycles, traps)`.
-fn baseline_row(path: &str) -> Result<(u64, u64), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc: RawValue = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let apps = match doc.0.field("apps") {
-        Ok(Value::Array(items)) => items,
-        _ => return Err(format!("{path}: no `apps` array")),
-    };
-    for row in apps {
-        let is_webserve = matches!(row.field("app"), Ok(Value::Str(s)) if s == "webserve");
-        if !is_webserve {
-            continue;
-        }
-        let cycles = row.field("virtual_cycles").ok().and_then(as_u64);
-        let traps = row.field("traps").ok().and_then(as_u64);
-        if let (Some(c), Some(t)) = (cycles, traps) {
-            return Ok((c, t));
-        }
-        return Err(format!("{path}: webserve row missing cycle fields"));
-    }
-    Err(format!("{path}: no webserve row"))
-}
-
 fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     std::process::exit(1);
 }
 
 fn main() {
-    let bench_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_interp.json".to_string());
     let trace_path = std::env::args()
-        .nth(2)
+        .nth(1)
         .unwrap_or_else(|| "OBS_trace.json".to_string());
 
     // ---- clean path: tracing off ----
@@ -96,18 +53,6 @@ fn main() {
         "clean path: cycles={} traps={} trace_cycles={}",
         clean.cycles, clean.traps, clean.trace_cycles
     );
-    match baseline_row(&bench_path) {
-        Ok((cycles, traps)) => {
-            if (clean.cycles, clean.traps) != (cycles, traps) {
-                fail(&format!(
-                    "clean-path divergence vs {bench_path}: cycles {} vs {}, traps {} vs {}",
-                    clean.cycles, cycles, clean.traps, traps
-                ));
-            }
-            println!("bench-smoke: matches {bench_path} webserve row exactly");
-        }
-        Err(e) => fail(&e),
-    }
 
     // ---- traced run ----
     obs::enable(1 << 17);

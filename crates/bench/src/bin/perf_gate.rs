@@ -13,13 +13,13 @@
 //! * sketch accuracy — the `trap.verify_cycles` p99 must land within 2%
 //!   of the exact p99 recomputed from the per-trap span durations;
 //! * fleet determinism — the Table 6 catalog renders byte-identically on
-//!   1 and 2 workers, matching the `BENCH_fleet.json` flag.
+//!   1 and 2 workers.
 //!
 //! Writes the full check table plus per-app/per-scope verify-latency
 //! percentiles to `BENCH_obs.json` and exits non-zero if any check
 //! fails. The report holds no wall-clock field: a single-shot host timing
 //! is noise, and host time is measured, repeated, by `hostbench/`. Usage:
-//! `perf_gate [BENCH_interp.json] [BENCH_fleet.json] [BENCH_obs.json]`.
+//! `perf_gate [BENCH_interp.json] [BENCH_obs.json]`.
 
 use bastion::apps::App;
 use bastion::compiler::BastionCompiler;
@@ -196,19 +196,11 @@ fn main() {
             .unwrap_or_else(|| default.to_string())
     };
     let interp_path = arg(1, "BENCH_interp.json");
-    let fleet_path = arg(2, "BENCH_fleet.json");
-    let out_path = arg(3, "BENCH_obs.json");
+    let out_path = arg(2, "BENCH_obs.json");
 
     let interp = std::fs::read_to_string(&interp_path)
         .map_err(|e| format!("{interp_path}: {e}"))
         .and_then(|t| gate::parse_interp_baseline(&t))
-        .unwrap_or_else(|e| {
-            eprintln!("FAIL: {e}");
-            std::process::exit(1);
-        });
-    let fleet_baseline = std::fs::read_to_string(&fleet_path)
-        .map_err(|e| format!("{fleet_path}: {e}"))
-        .and_then(|t| gate::parse_fleet_baseline(&t))
         .unwrap_or_else(|e| {
             eprintln!("FAIL: {e}");
             std::process::exit(1);
@@ -283,7 +275,7 @@ fn main() {
     let byte_identical = serial == sharded;
     report.push(gate::check_flag(
         "fleet.table6_byte_identical",
-        fleet_baseline.all_byte_identical,
+        true,
         byte_identical,
     ));
 

@@ -16,7 +16,6 @@
 
 use bastion::gate::{self, GateReport};
 use bastion::serve::{run_serve, ServeConfig, ServeRun};
-use std::time::Instant;
 
 fn main() {
     let mut out_path = "BENCH_serve.json".to_string();
@@ -58,9 +57,7 @@ fn main() {
     let mut all_byte_identical = true;
     for &jobs in &ladder {
         eprintln!("bastiond, tenants={tenants}, jobs={jobs}...");
-        let t0 = Instant::now();
         let r = run_serve(&cfg.clone().with_jobs(jobs));
-        let wall = t0.elapsed().as_secs_f64();
         let rendered = r.report.render();
         let json = serde_json::to_string_pretty(&r.report).expect("report serializes");
         let identical = match &reference {
@@ -70,7 +67,7 @@ fn main() {
         all_byte_identical &= identical;
         assert!(identical, "jobs={jobs} report diverged from the serial run");
         eprintln!(
-            "  {wall:.2}s, {} served / {} traps, byte-identical",
+            "  {} served / {} traps, byte-identical",
             r.report.total_requests, r.report.total_traps
         );
         if reference.is_none() {

@@ -14,8 +14,11 @@
 //! | `table7` | Table 7 — filesystem-extended protection overhead |
 //! | `ablations` | §11.2 in-kernel monitor model, ASLR, init cost |
 //!
-//! `cargo bench` additionally runs criterion wall-clock benchmarks of the
-//! simulator itself (`overhead`, `monitor_micro`).
+//! Alongside them, `interp_bench` writes the exact per-app baseline
+//! (`BENCH_interp.json`) that `perf_gate` diffs against, and `serve_bench`,
+//! `obs_smoke` and `prefilter_parity` are CI gates. Nothing here reads a
+//! host clock: host time is measured only by `hostbench/`, as repeated
+//! samples with spread.
 //!
 //! Results are recorded in the repository's `EXPERIMENTS.md`.
 

@@ -702,7 +702,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 /// Shared chaos-matrix driver for `bastion chaos` and the fleet's chaos
 /// section: runs the matrix, prints the report, and collects gate
-/// failures.
+/// failures — a fault-free matrix, a flip to Allow, or a deny record
+/// without its flight-recorder dump.
 fn run_chaos_section(jobs: usize, cold: bool, failures: &mut Vec<String>) {
     use bastion::fleet;
     let outcome = fleet::chaos_matrix_mode(jobs, fleet::ATTACK_SEEDS, None, cold);
@@ -714,6 +715,12 @@ fn run_chaos_section(jobs: usize, cold: bool, failures: &mut Vec<String>) {
         failures.push(format!(
             "{} attack(s) flipped to Allow under faults",
             outcome.flipped
+        ));
+    }
+    if outcome.flight_missing > 0 {
+        failures.push(format!(
+            "{} deny record(s) missing a flight-recorder dump of the denied trap",
+            outcome.flight_missing
         ));
     }
 }

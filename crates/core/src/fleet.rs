@@ -201,12 +201,6 @@ pub struct ChaosMatrixOutcome {
     pub flight_missing: u64,
 }
 
-/// Runs the full chaos matrix with warm copy-on-write cell forking (see
-/// [`chaos_matrix_mode`]).
-pub fn chaos_matrix(jobs: usize, seeds: &[u64], filter: Option<&[u32]>) -> ChaosMatrixOutcome {
-    chaos_matrix_mode(jobs, seeds, filter, false)
-}
-
 /// Runs the full chaos matrix — benign degradation for the three apps
 /// under each schedule family, every catalog attack replayed under each
 /// fault class and seed, plus the generated adversarial-program corpus —

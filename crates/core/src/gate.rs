@@ -1,6 +1,6 @@
 //! Perf-regression gate: diff re-measured hot-path numbers against the
 //! checked-in benchmark baselines (`BENCH_interp.json`,
-//! `BENCH_fleet.json`) with explicit tolerance bands.
+//! `BENCH_serve.json`) with explicit tolerance bands.
 //!
 //! The policy mirrors the repo's determinism contract. Quantities the
 //! simulator fully controls — virtual cycles, trap counts — are
@@ -8,8 +8,8 @@
 //! cost of a hot path, which is precisely what the gate exists to catch.
 //! Derived per-trap ratios get a small relative band (rounding under
 //! workload recalibration), and nothing wall-clock-based is gated here —
-//! wall time on shared CI is noise, and the bench bins already report it
-//! separately.
+//! a single wall-time sample on shared CI is noise. Host time is measured
+//! only by `hostbench/`, as repeated, calibrated samples with spread.
 //!
 //! The comparison logic is pure (`GateCheck`/`GateReport` over parsed
 //! baselines), so the injected-regression test can prove the gate
@@ -194,14 +194,6 @@ impl InterpBaseline {
     }
 }
 
-/// The subset of `BENCH_fleet.json` the gate reads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FleetBaseline {
-    /// Whether every worker count produced a byte-identical report when
-    /// the baseline was captured (must still hold when re-measured).
-    pub all_byte_identical: bool,
-}
-
 /// The subset of `BENCH_serve.json` the gate reads. The serve schedule is
 /// fully deterministic (seeded mix, virtual clocks, jobs-invariant
 /// sharding), so *every* gated quantity is exact — including the latency
@@ -248,14 +240,6 @@ pub fn parse_interp_baseline(json: &str) -> Result<InterpBaseline, String> {
     serde_json::from_str(json).map_err(|e| format!("BENCH_interp.json: {e:?}"))
 }
 
-/// Parses the checked-in `BENCH_fleet.json`.
-///
-/// # Errors
-/// Fails with the parse/shape error message on a malformed file.
-pub fn parse_fleet_baseline(json: &str) -> Result<FleetBaseline, String> {
-    serde_json::from_str(json).map_err(|e| format!("BENCH_fleet.json: {e:?}"))
-}
-
 /// Parses the checked-in `BENCH_serve.json`.
 ///
 /// # Errors
@@ -284,10 +268,7 @@ mod tests {
         assert_eq!(app.virtual_cycles, 4_747_561);
         assert_eq!(app.traps, 1066);
         assert!(b.app("nosuch").is_none());
-        let f = parse_fleet_baseline(r#"{"bench":"fleet","all_byte_identical":true}"#).unwrap();
-        assert!(f.all_byte_identical);
         assert!(parse_interp_baseline("{").is_err());
-        assert!(parse_fleet_baseline("[]").is_err());
         let s = parse_serve_baseline(
             r#"{"bench":"serve","tenants":16,"admitted":16,"completed":15,
                 "evicted":1,"total_requests":384,"total_traps":9000,

@@ -434,10 +434,25 @@ fn walk_stack(
     // chains through legitimate address-taken handlers are exactly the
     // flows the paper says bypass the Control-Flow context, Table 6).
     let mut strict = true;
+    // Word reads with the fast path's fault semantics, so both paths
+    // render the same deny: only the trap frame's head is retried (the
+    // fast path fetches it with retries before the walk); a frame past it
+    // is read once, as the fast path reads its chain, so a corrupted
+    // saved frame pointer denies without retries or a substrate strike.
+    let read_word = |tracee: &mut Tracee<'_>, depth: usize, addr: u64| {
+        if depth == 0 {
+            with_retries(mon, tracee, |t| t.read_u64(addr))
+        } else {
+            tracee.read_u64(addr)
+        }
+    };
 
-    for _ in 0..128 {
+    for depth in 0..128 {
         check_deadline(mon, tracee)?;
-        let ret = with_retries(mon, tracee, |t| t.read_u64(cur_fp + 8)).map_err(|e| {
+        let ret = read_word(tracee, depth, cur_fp + 8).map_err(|e| {
+            // The fast path reads the 16-byte frame head at once, so the
+            // fault is reported against the head, not its second word.
+            let e = OutOfBounds { addr: cur_fp, ..e };
             cf_err(
                 DenyRule::FrameUnreadable,
                 format!("frame at {cur_fp:#x} unreadable: {e}"),
@@ -506,7 +521,7 @@ fn walk_stack(
                     callsite: Some(callsite),
                     fp: cur_fp,
                 });
-                let saved = with_retries(mon, tracee, |t| t.read_u64(cur_fp)).map_err(|e| {
+                let saved = read_word(tracee, depth, cur_fp).map_err(|e| {
                     cf_err(
                         DenyRule::SavedFpUnreadable,
                         format!("saved fp unreadable: {e}"),
@@ -545,7 +560,7 @@ fn walk_stack(
                     callsite: Some(callsite),
                     fp: cur_fp,
                 });
-                let saved = with_retries(mon, tracee, |t| t.read_u64(cur_fp)).map_err(|e| {
+                let saved = read_word(tracee, depth, cur_fp).map_err(|e| {
                     cf_err(
                         DenyRule::SavedFpUnreadable,
                         format!("saved fp unreadable: {e}"),

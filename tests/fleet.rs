@@ -19,8 +19,8 @@ use bastion::{Deployment, Protection};
 fn fleet_chaos_report_is_byte_identical_across_worker_counts() {
     let subset: &[u32] = &[1, 2, 3, 4];
     let seeds: &[u64] = &[0xA77C_0001];
-    let serial = fleet::chaos_matrix(1, seeds, Some(subset));
-    let pooled = fleet::chaos_matrix(4, seeds, Some(subset));
+    let serial = fleet::chaos_matrix_mode(1, seeds, Some(subset), false);
+    let pooled = fleet::chaos_matrix_mode(4, seeds, Some(subset), false);
     assert_eq!(
         serial.report, pooled.report,
         "N=1 and N=4 aggregate reports diverged"

@@ -7,9 +7,12 @@
 //! The tier-2-only oracle is the same configuration with
 //! `ContextConfig::with_prefilter(false)` (the CLI's `--no-prefilter`),
 //! passed down the one deploy path, so whole-stack code paths run
-//! unmodified in both modes. Cycle totals legitimately differ — a tier-1
-//! hit skips the ptrace stop — so parity is asserted on verdicts, never
-//! on time.
+//! unmodified in both modes. The Table 6 and application checks also run
+//! `ContextConfig::without_fast_path()` — tier 2 with word-by-word
+//! verification and no verification caches, the fast-path ablation's
+//! reference. Cycle totals legitimately differ — a tier-1 hit skips the
+//! ptrace stop, a cache hit skips a walk — so parity is asserted on
+//! verdicts, never on time.
 
 use bastion::attacks::{catalog, AttackEnv, Scenario};
 use bastion::chaos;
@@ -27,6 +30,15 @@ use proptest::prelude::*;
 /// Full BASTION with the tier-1 prefilter off: the tier-2-only oracle.
 fn tier2_only() -> ContextConfig {
     ContextConfig::full().with_prefilter(false)
+}
+
+/// The reference configurations every prefiltered run is diffed against:
+/// the tier-2-only oracle, and tier 2 without its fast path.
+fn oracles() -> [(&'static str, ContextConfig); 2] {
+    [
+        ("tier-2-only", tier2_only()),
+        ("no-fast-path", ContextConfig::full().without_fast_path()),
+    ]
 }
 
 /// Everything verdict-relevant one world run produces.
@@ -95,27 +107,33 @@ fn attack_observables(s: &Scenario, cfg: ContextConfig) -> (bool, Observables) {
     (succeeded, observe(env.world))
 }
 
-/// All 32 Table 6 rows: prefiltered and tier-2-only runs must agree on
+/// All 32 Table 6 rows: the prefiltered run and each oracle must agree on
 /// every observable — exit reasons (which embed the deny strings), trap
 /// and syscall counts, per-context violation tallies, the allow/deny log,
 /// and the structured deny records. Zero detection loss: no attack the
-/// full monitor blocks may slip past the prefilter.
+/// full monitor blocks may slip past the prefilter or the fast path.
 #[test]
 fn table6_catalog_is_byte_identical_with_and_without_prefilter() {
     for s in &catalog() {
         let (pf_success, pf) = attack_observables(s, ContextConfig::full());
-        let (t2_success, t2) = attack_observables(s, tier2_only());
-        assert_eq!(
-            pf_success, t2_success,
-            "#{} {}: attack success flipped",
-            s.id, s.name
-        );
-        assert_eq!(pf, t2, "#{} {}: observables diverged", s.id, s.name);
         assert!(
             !pf_success,
             "#{} {}: attack succeeded under full BASTION",
             s.id, s.name
         );
+        for (oracle, cfg) in oracles() {
+            let (success, obs) = attack_observables(s, cfg);
+            assert_eq!(
+                pf_success, success,
+                "#{} {} ({oracle}): attack success flipped",
+                s.id, s.name
+            );
+            assert_eq!(
+                pf, obs,
+                "#{} {} ({oracle}): observables diverged",
+                s.id, s.name
+            );
+        }
     }
 }
 
@@ -278,43 +296,57 @@ fn differential_mode_proves_tier_1_allows_equivalent() {
 
 // ---- application parity + the clean-path win ----
 
-/// The workload apps under full protection: identical verdict surface,
-/// strictly cheaper clean path. The ≥2× per-trap acceptance bound is
-/// asserted on webserve, the app the committed bench baseline tracks.
+/// The workload apps under full protection: identical verdict surface
+/// against both oracles, strictly cheaper clean path than tier 2 alone.
+/// The ≥2× per-trap acceptance bound is asserted on webserve, the app the
+/// committed bench baseline tracks.
 #[test]
 fn app_benchmarks_agree_and_prefilter_pays() {
     let quick = WorkloadSize::quick();
     let compiler = BastionCompiler::new();
     let cost = CostModel::default();
+    let per_trap = |b: &bastion::harness::AppBenchmark, s: &bastion::monitor::MonitorStats| {
+        (b.trace_cycles - s.init_cycles) as f64 / b.traps.max(1) as f64
+    };
     for app in [
         bastion::apps::App::Webserve,
         bastion::apps::App::Dbkv,
         bastion::apps::App::Ftpd,
     ] {
         let pf = run_app_benchmark(app, &Protection::full(), &quick, &compiler, cost);
-        let t2_prot = Protection {
-            monitor: Some(tier2_only()),
-            ..Protection::full()
-        };
-        let t2 = run_app_benchmark(app, &t2_prot, &quick, &compiler, cost);
-        assert_eq!(pf.traps, t2.traps, "{app:?}: trap counts diverged");
-        assert_eq!(pf.steps, t2.steps, "{app:?}: retired steps diverged");
-        assert_eq!(
-            pf.syscall_counts, t2.syscall_counts,
-            "{app:?}: syscall counts diverged"
-        );
-        let (spf, st2) = (pf.monitor.as_ref().unwrap(), t2.monitor.as_ref().unwrap());
+        let spf = pf.monitor.as_ref().unwrap();
         assert_eq!(spf.violations(), 0, "{app:?}: clean run denied");
-        assert_eq!(st2.violations(), 0, "{app:?}: clean run denied (tier 2)");
-        assert_eq!(
-            st2.prefilter_checks, 0,
-            "{app:?}: guard did not disable tier 1"
-        );
         assert!(spf.prefilter_hits > 0, "{app:?}: prefilter never hit");
-        let per_trap = |b: &bastion::harness::AppBenchmark, s: &bastion::monitor::MonitorStats| {
-            (b.trace_cycles - s.init_cycles) as f64 / b.traps.max(1) as f64
-        };
-        let (c_pf, c_t2) = (per_trap(&pf, spf), per_trap(&t2, st2));
+        let [t2, _] = oracles().map(|(oracle, cfg)| {
+            let prot = Protection {
+                monitor: Some(cfg),
+                ..Protection::full()
+            };
+            let other = run_app_benchmark(app, &prot, &quick, &compiler, cost);
+            assert_eq!(
+                pf.traps, other.traps,
+                "{app:?} ({oracle}): trap counts diverged"
+            );
+            assert_eq!(
+                pf.steps, other.steps,
+                "{app:?} ({oracle}): retired steps diverged"
+            );
+            assert_eq!(
+                pf.syscall_counts, other.syscall_counts,
+                "{app:?} ({oracle}): syscall counts diverged"
+            );
+            let so = other.monitor.as_ref().unwrap();
+            assert_eq!(so.violations(), 0, "{app:?} ({oracle}): clean run denied");
+            assert_eq!(
+                so.prefilter_checks, 0,
+                "{app:?} ({oracle}): config did not disable tier 1"
+            );
+            other
+        });
+        let (c_pf, c_t2) = (
+            per_trap(&pf, spf),
+            per_trap(&t2, t2.monitor.as_ref().unwrap()),
+        );
         assert!(
             c_pf < c_t2,
             "{app:?}: prefilter did not reduce per-trap cost ({c_pf:.0} vs {c_t2:.0})"
